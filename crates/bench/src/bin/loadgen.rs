@@ -42,8 +42,6 @@
 //!
 //! Exits non-zero if any response mismatched the local truth.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -58,6 +56,7 @@ use bikron_core::truth::squares_vertex::vertex_squares_at;
 use bikron_core::truth::FactorStats;
 use bikron_core::{KronChain, KroneckerProduct, SelfLoopMode};
 use bikron_graph::Graph;
+use bikron_serve::http;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -201,36 +200,36 @@ impl Truth {
     }
 }
 
-/// Minimal keep-alive HTTP/1.1 client. Every request carries a fresh
-/// client-minted W3C `traceparent`; the server must echo the trace id in
-/// its `x-bikron-trace-id` response header (id propagation is part of
-/// the contract the load test verifies, so echo failures count as
-/// mismatches via [`Client::echo_failures`]).
+/// Keep-alive client over the shared bounded [`http::Client`]. Every
+/// request carries a fresh client-minted W3C `traceparent`; the server
+/// must echo the trace id in its `x-bikron-trace-id` response header
+/// (id propagation is part of the contract the load test verifies, so
+/// echo failures count as mismatches via [`Client::echo_failures`]).
 struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    http: http::Client,
     /// xorshift64* state for trace-id minting.
     rng: u64,
     /// Trace id (32 hex chars) sent with the in-flight/last request.
     sent_trace_id: String,
     /// Echo failures observed so far (fold into the mismatch count).
     echo_failures: u64,
+    /// Round trip of the last request, ns: from the request write to the
+    /// end of the response read, excluding trace-id minting and every
+    /// truth computation the checker does around it.
+    last_ns: u64,
 }
 
 impl Client {
     fn connect(addr: &str, seed: u64) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
+        let timeout = Duration::from_secs(30);
         Ok(Client {
-            reader: BufReader::new(stream),
-            writer,
+            http: http::Client::connect(addr, timeout, timeout)?,
             // Golden-ratio mix before the nonzero clamp: adjacent seeds
             // (thread t vs t+1) must not collapse to one xorshift stream.
             rng: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
             sent_trace_id: String::new(),
             echo_failures: 0,
+            last_ns: 0,
         })
     }
 
@@ -257,52 +256,26 @@ impl Client {
     }
 
     fn get(&mut self, path: &str) -> std::io::Result<(u16, String)> {
-        let traceparent = self.next_traceparent();
-        write!(
-            self.writer,
-            "GET {path} HTTP/1.1\r\nHost: lg\r\ntraceparent: {traceparent}\r\n\r\n"
-        )?;
-        self.read_response()
+        self.request("GET", path, None)
     }
 
     fn post(&mut self, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-        let traceparent = self.next_traceparent();
-        write!(
-            self.writer,
-            "POST {path} HTTP/1.1\r\nHost: lg\r\ntraceparent: {traceparent}\r\n\
-             Content-Length: {}\r\n\r\n{body}",
-            body.len(),
-        )?;
-        self.read_response()
+        self.request("POST", path, Some(body))
     }
 
-    fn read_response(&mut self) -> std::io::Result<(u16, String)> {
-        let mut line = String::new();
-        self.reader.read_line(&mut line)?;
-        let status: u16 = line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| std::io::Error::other(format!("bad status line {line:?}")))?;
-        let mut content_length = 0usize;
-        let mut echoed = String::new();
-        loop {
-            let mut h = String::new();
-            self.reader.read_line(&mut h)?;
-            let h = h.trim_end();
-            if h.is_empty() {
-                break;
-            }
-            let lower = h.to_ascii_lowercase();
-            if let Some(v) = lower.strip_prefix("content-length:") {
-                content_length = v
-                    .trim()
-                    .parse()
-                    .map_err(|e| std::io::Error::other(format!("bad content-length: {e}")))?;
-            } else if let Some(v) = lower.strip_prefix("x-bikron-trace-id:") {
-                echoed = v.trim().to_string();
-            }
-        }
+    fn request(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+    ) -> std::io::Result<(u16, String)> {
+        let traceparent = self.next_traceparent();
+        let started = Instant::now();
+        let resp = self
+            .http
+            .request(method, path, &[("traceparent", &traceparent)], body)?;
+        self.last_ns = started.elapsed().as_nanos() as u64;
+        let echoed = resp.header("x-bikron-trace-id").unwrap_or("");
         if echoed != self.sent_trace_id {
             self.echo_failures += 1;
             eprintln!(
@@ -310,12 +283,7 @@ impl Client {
                 self.sent_trace_id
             );
         }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
-        Ok((
-            status,
-            String::from_utf8(body).map_err(|e| std::io::Error::other(e.to_string()))?,
-        ))
+        Ok((resp.status, resp.body))
     }
 }
 
@@ -402,7 +370,6 @@ fn worker(
     };
     for _ in 0..count {
         let dice = rng.gen_range(0u32..100);
-        let started = Instant::now();
         if dice < 40 {
             // Vertex query: byte-exact against Thm 3/4.
             let p = pick_vertex(&mut rng, zipf, n);
@@ -480,9 +447,8 @@ fn worker(
                 && field_u64_last(&body, "edges") == Some(prod.num_edges());
             check(ok, "stats", "/v1/stats", &body, client.trace_id());
         }
-        let ns = started.elapsed().as_nanos() as u64;
-        latencies.push(ns);
-        track_slow(&mut slowest, ns, client.trace_id(), 3);
+        latencies.push(client.last_ns);
+        track_slow(&mut slowest, client.last_ns, client.trace_id(), 3);
     }
     (latencies, mismatches + client.echo_failures, slowest)
 }
@@ -550,11 +516,9 @@ fn batch_worker(
             .collect::<Vec<_>>()
             .concat();
 
-        let started = Instant::now();
         let (status, response) = client.post("/v1/batch", &body).expect("batch request");
-        let ns = started.elapsed().as_nanos() as u64;
-        latencies.push(ns);
-        track_slow(&mut slowest, ns, client.trace_id(), 3);
+        latencies.push(client.last_ns);
+        track_slow(&mut slowest, client.last_ns, client.trace_id(), 3);
 
         if status != 200 {
             mismatches += k as u64;
@@ -792,7 +756,6 @@ fn expr_worker(
     };
     for _ in 0..count {
         let dice = rng.gen_range(0u32..100);
-        let started = Instant::now();
         if dice < 25 {
             // Vertex: byte-exact against the materialised recount.
             let p = pick_vertex(&mut rng, zipf, n);
@@ -919,9 +882,8 @@ fn expr_worker(
                 && body.contains(&format!("\"expr\": \"{}\"", truth.chain.canonical()));
             check(ok, "stats", "/v1/stats", &body, client.trace_id());
         }
-        let ns = started.elapsed().as_nanos() as u64;
-        track_slow(&mut slowest, ns, client.trace_id(), 3);
-        latencies.push(ns);
+        track_slow(&mut slowest, client.last_ns, client.trace_id(), 3);
+        latencies.push(client.last_ns);
     }
     (latencies, mismatches + client.echo_failures, slowest)
 }

@@ -49,7 +49,11 @@ fn main() {
                 i += 2;
             }
             "--profile-out" => {
-                profile_path = Some(args.get(i + 1).expect("--profile-out requires FILE").clone());
+                profile_path = Some(
+                    args.get(i + 1)
+                        .expect("--profile-out requires FILE")
+                        .clone(),
+                );
                 i += 2;
             }
             other => {

@@ -188,47 +188,9 @@ pub fn field_str<'a>(body: &'a str, key: &str) -> Option<&'a str> {
     Some(&body[start..end])
 }
 
-/// Split a top-level JSON array of objects into the objects' raw text,
-/// by brace-depth scan (string-aware, so a `{` inside an error detail
-/// cannot derail it). Returns `None` when `body` is not an array.
-pub fn split_json_array(body: &str) -> Option<Vec<String>> {
-    let trimmed = body.trim();
-    let inner = trimmed.strip_prefix('[')?.strip_suffix(']')?;
-    let mut items = Vec::new();
-    let mut depth = 0usize;
-    let mut start = None;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in inner.char_indices() {
-        if in_string {
-            match c {
-                _ if escaped => escaped = false,
-                '\\' => escaped = true,
-                '"' => in_string = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth.checked_sub(1)?;
-                if depth == 0 {
-                    items.push(inner[start?..=i].to_string());
-                    start = None;
-                }
-            }
-            _ => {}
-        }
-    }
-    (depth == 0 && !in_string).then_some(items)
-}
+/// Split a batch response array into its items' raw text — the strict
+/// splitter owned by the batch format (malformed arrays are `None`).
+pub use bikron_serve::batch::split_batch_items as split_json_array;
 
 /// Zipf(s) sampler over ranks `0..n`, with ranks scattered across the
 /// vertex space by a multiplicative hash so "popular" keys are not all
@@ -312,18 +274,6 @@ mod tests {
         assert_eq!(labelled.metric_name("rps"), "loadgen.t.rps");
         let plain = LoadgenSummary::new("", 1, 1, 0, Duration::from_secs(1), vec![1]);
         assert_eq!(plain.metric_name("rps"), "loadgen.rps");
-    }
-
-    #[test]
-    fn splits_arrays_of_objects() {
-        let body = "[\n{\n  \"a\": 1\n},\n{\n  \"b\": \"x } y\"\n}\n]\n";
-        let items = split_json_array(body).unwrap();
-        assert_eq!(items.len(), 2);
-        assert!(items[0].contains("\"a\": 1"));
-        assert!(items[1].contains("x } y"));
-        assert_eq!(split_json_array("{}"), None);
-        assert_eq!(split_json_array("[]").unwrap(), Vec::<String>::new());
-        assert_eq!(split_json_array("[{\"unbalanced\": 1]"), None);
     }
 
     #[test]

@@ -414,13 +414,13 @@ fn shard_banner(state: &ServeState) -> String {
 /// factors) before binding the client-facing listener.
 pub fn router(
     shards: &[String],
-    config: bikron_router::RouterConfig,
+    config: ServerConfig,
     options: bikron_router::RouterOptions,
     out: &mut dyn Write,
 ) -> CmdResult {
     let state = std::sync::Arc::new(bikron_router::RouterState::connect(shards, options)?);
     bikron_serve::signal::install();
-    let server = bikron_router::RouterServer::bind(config.clone(), std::sync::Arc::clone(&state))?;
+    let server = Server::bind(config.clone(), std::sync::Arc::clone(&state))?;
     writeln!(
         out,
         "router listening on http://{} fronting {} shard(s) over {} vertices ({} worker(s), queue {}) — stop with ctrl-c",

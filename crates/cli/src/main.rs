@@ -228,11 +228,13 @@ fn run() -> Result<bool, Box<dyn std::error::Error>> {
         args.first().map(String::as_str),
         Some("serve") | Some("router")
     );
-    let hz = opts.profile_hz.unwrap_or(if default_on || opts.profile_out.is_some() {
-        bikron_obs::profile::DEFAULT_HZ
-    } else {
-        0
-    });
+    let hz = opts
+        .profile_hz
+        .unwrap_or(if default_on || opts.profile_out.is_some() {
+            bikron_obs::profile::DEFAULT_HZ
+        } else {
+            0
+        });
     let _sampler = (hz > 0)
         .then(|| bikron_obs::profile::start_sampler(hz))
         .flatten();
@@ -337,15 +339,15 @@ fn parse_router_config(
 ) -> Result<
     (
         Vec<String>,
-        bikron_router::RouterConfig,
+        bikron_serve::ServerConfig,
         bikron_router::RouterOptions,
     ),
     Box<dyn std::error::Error>,
 > {
     let mut shards: Vec<String> = Vec::new();
-    let mut config = bikron_router::RouterConfig {
+    let mut config = bikron_serve::ServerConfig {
         addr: "127.0.0.1:7070".to_string(),
-        ..bikron_router::RouterConfig::default()
+        ..bikron_serve::ServerConfig::default()
     };
     let mut options = bikron_router::RouterOptions::default();
     let mut i = 0;

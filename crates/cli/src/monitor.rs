@@ -22,11 +22,10 @@
 //! `render_once`), so the formatting and diffing logic is unit-testable
 //! without a server.
 
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
 use std::time::Duration;
 
 use bikron_obs::Report;
+use bikron_serve::http::Client;
 
 /// Default seconds between dashboard refreshes.
 pub const DEFAULT_INTERVAL_SECS: u64 = 2;
@@ -120,32 +119,21 @@ pub(crate) fn parse_host_port(url: &str) -> Result<(String, u16), String> {
     }
 }
 
-/// One `GET {path}` over a fresh connection (std-only HTTP/1.1 client,
-/// shared with `bikron trace`); returns `(status, body)`.
-pub(crate) fn http_get(host: &str, port: u16, path: &str) -> Result<(u16, String), String> {
+/// A keep-alive connection to `host:port` over the shared bounded
+/// client, with 10 s connect and I/O timeouts.
+pub(crate) fn connect(host: &str, port: u16) -> Result<Client, String> {
     let addr = format!("{host}:{port}");
-    let mut stream = TcpStream::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .map_err(|e| e.to_string())?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {host}\r\nConnection: close\r\n\r\n"
-    )
-    .map_err(|e| format!("send request: {e}"))?;
-    let mut raw = String::new();
-    stream
-        .read_to_string(&mut raw)
-        .map_err(|e| format!("read response: {e}"))?;
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .ok_or("malformed HTTP response")?;
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or("missing status code")?;
-    Ok((status, body.to_string()))
+    let timeout = Duration::from_secs(10);
+    Client::connect(&addr, timeout, timeout).map_err(|e| format!("connect {addr}: {e}"))
+}
+
+/// One `GET {path}` over a fresh connection (shared with `bikron
+/// trace`, `profile` and `replay`); returns `(status, body)`.
+pub(crate) fn http_get(host: &str, port: u16, path: &str) -> Result<(u16, String), String> {
+    let resp = connect(host, port)?
+        .get(path)
+        .map_err(|e| format!("GET {path}: {e}"))?;
+    Ok((resp.status, resp.body))
 }
 
 /// One `GET /metrics` over a fresh connection; returns the parsed report.
@@ -920,7 +908,10 @@ mod tests {
             stacks: [("serve;evaluate".to_string(), 500)].into_iter().collect(),
         });
         let frame = render_frame(None, &report, 2.0, 5);
-        assert!(frame.contains("profile    500 samples, 0 dropped"), "{frame}");
+        assert!(
+            frame.contains("profile    500 samples, 0 dropped"),
+            "{frame}"
+        );
         assert!(!frame.contains("LOSSY"), "{frame}");
         let once = render_once(&report);
         assert!(once.contains("profile_samples 500\n"), "{once}");
@@ -937,7 +928,10 @@ mod tests {
             stacks: std::collections::BTreeMap::new(),
         });
         let frame = render_frame(None, &lossy, 2.0, 5);
-        assert!(frame.contains("profile    500 samples, 7 dropped"), "{frame}");
+        assert!(
+            frame.contains("profile    500 samples, 7 dropped"),
+            "{frame}"
+        );
         assert!(frame.contains("LOSSY TELEMETRY"), "{frame}");
         assert!(frame.contains("dropped profile samples 7"), "{frame}");
         assert!(render_once(&lossy).contains("profile_dropped 7\n"));
@@ -948,7 +942,10 @@ mod tests {
         counters.counter("profile.samples").add(33);
         counters.counter("profile.dropped_samples").add(0);
         let frame = render_frame(None, &counters.snapshot(), 2.0, 5);
-        assert!(frame.contains("profile    33 samples, 0 dropped"), "{frame}");
+        assert!(
+            frame.contains("profile    33 samples, 0 dropped"),
+            "{frame}"
+        );
 
         // No sampler at all: no profile line.
         assert!(

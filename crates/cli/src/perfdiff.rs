@@ -380,9 +380,7 @@ pub fn perfdiff_profiles(
     // baseline never had — a brand-new hot path is worth eyeballing
     // even though only share growth gates.
     for (name, &bp) in &cand {
-        if bp >= PROFILE_FLOOR_BP
-            && !base.contains_key(name)
-            && !watched.iter().any(|w| w == name)
+        if bp >= PROFILE_FLOOR_BP && !base.contains_key(name) && !watched.iter().any(|w| w == name)
         {
             writeln!(out, "  {:<44} (new frame at {} self)", name, fmt_bp(bp))?;
         }
@@ -630,7 +628,13 @@ mod tests {
         )
         .unwrap();
         assert!(!pass, "write 10%->55% must fail");
-        assert!(perfdiff_profile_files("/no/such/file", "/none", &PerfDiffConfig::default(), &mut Vec::new()).is_err());
+        assert!(perfdiff_profile_files(
+            "/no/such/file",
+            "/none",
+            &PerfDiffConfig::default(),
+            &mut Vec::new()
+        )
+        .is_err());
         std::fs::remove_file(&base_path).ok();
         std::fs::remove_file(&cand_path).ok();
     }

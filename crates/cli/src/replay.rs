@@ -24,11 +24,10 @@
 //! responses count as errors; the process exits non-zero if any
 //! occurred.
 
-use std::io::{BufRead as _, BufReader, Read as _, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::time::{Duration, Instant};
 
-use crate::monitor::{http_get, parse_host_port};
+use crate::monitor::{connect, http_get, parse_host_port};
 
 /// Parsed `bikron replay` invocation.
 #[derive(Clone, Debug)]
@@ -309,73 +308,6 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[rank - 1]
 }
 
-/// Keep-alive HTTP/1.1 client for the replay loop (one fresh
-/// `http_get` connection per request would distort the latency tail).
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    host: String,
-}
-
-impl Client {
-    fn connect(host: &str, port: u16) -> Result<Self, String> {
-        let addr = format!("{host}:{port}");
-        let stream = TcpStream::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .map_err(|e| e.to_string())?;
-        // One small request per round trip: without NODELAY, Nagle holds
-        // each request for the peer's delayed ACK (~40 ms), wrecking both
-        // the replay rate and the latencies it reports.
-        stream.set_nodelay(true).map_err(|e| e.to_string())?;
-        let writer = stream.try_clone().map_err(|e| e.to_string())?;
-        Ok(Client {
-            reader: BufReader::new(stream),
-            writer,
-            host: host.to_string(),
-        })
-    }
-
-    /// Issue one GET; returns the response status.
-    fn get(&mut self, path: &str) -> Result<u16, String> {
-        let request = format!("GET {path} HTTP/1.1\r\nHost: {}\r\n\r\n", self.host);
-        self.writer
-            .write_all(request.as_bytes())
-            .map_err(|e| format!("send: {e}"))?;
-        let mut line = String::new();
-        self.reader
-            .read_line(&mut line)
-            .map_err(|e| format!("status line: {e}"))?;
-        let status: u16 = line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("malformed status line {line:?}"))?;
-        let mut content_length = 0usize;
-        loop {
-            let mut h = String::new();
-            self.reader
-                .read_line(&mut h)
-                .map_err(|e| format!("header: {e}"))?;
-            let h = h.trim_end();
-            if h.is_empty() {
-                break;
-            }
-            if let Some(v) = h.to_ascii_lowercase().strip_prefix("content-length:") {
-                content_length = v
-                    .trim()
-                    .parse()
-                    .map_err(|e| format!("content-length: {e}"))?;
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader
-            .read_exact(&mut body)
-            .map_err(|e| format!("body: {e}"))?;
-        Ok(status)
-    }
-}
-
 /// Run the replay. Returns `Ok(true)` when every replayed request got a
 /// non-5xx response, `Ok(false)` otherwise (mapped to exit code 2).
 pub fn run(cfg: &ReplayConfig, out: &mut dyn Write) -> Result<bool, Box<dyn std::error::Error>> {
@@ -413,7 +345,9 @@ pub fn run(cfg: &ReplayConfig, out: &mut dyn Write) -> Result<bool, Box<dyn std:
         .ok_or("replay: /v1/stats did not report a vertex count")?;
 
     let mut rng = Rng(cfg.seed);
-    let mut client = Client::connect(&cfg.host, cfg.port)?;
+    // One keep-alive connection for the whole loop: a fresh `http_get`
+    // connection per request would distort the latency tail.
+    let mut client = connect(&cfg.host, cfg.port)?;
     let mut replayed = 0u64;
     let mut errors = 0u64;
     let mut latencies = Vec::with_capacity(lines.len());
@@ -440,10 +374,10 @@ pub fn run(cfg: &ReplayConfig, out: &mut dyn Write) -> Result<bool, Box<dyn std:
         let path = materialize(&line.path_shape, n, &mut rng);
         let t0 = Instant::now();
         match client.get(&path) {
-            Ok(status) => {
+            Ok(resp) => {
                 latencies.push(t0.elapsed().as_nanos() as u64);
                 replayed += 1;
-                if status >= 500 {
+                if resp.status >= 500 {
                     errors += 1;
                 }
             }
@@ -451,7 +385,7 @@ pub fn run(cfg: &ReplayConfig, out: &mut dyn Write) -> Result<bool, Box<dyn std:
                 // One reconnect per failure; a dead server fails fast
                 // because the reconnect itself errors.
                 errors += 1;
-                match Client::connect(&cfg.host, cfg.port) {
+                match connect(&cfg.host, cfg.port) {
                     Ok(c) => client = c,
                     Err(e) => return Err(format!("replay: reconnect failed: {e}").into()),
                 }

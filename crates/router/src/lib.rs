@@ -31,13 +31,19 @@
 //! owned by live shards keep answering. `traceparent` is adopted from
 //! the client and propagated to shards, so `bikron trace` shows
 //! router→shard span parentage.
+//!
+//! The router owns no transport of its own. [`RouterState`] is a
+//! [`bikron_serve::Handler`], served by the same
+//! [`bikron_serve::Server`] pool (bounded queue, 503 shedding,
+//! keep-alive workers) and configured by the same
+//! [`bikron_serve::ServerConfig`] as a shard. Its [`Upstream`] pools
+//! speak to shards through the one bounded [`bikron_serve::http::Client`].
 
 pub mod aggregate;
-pub mod server;
 pub mod state;
 pub mod upstream;
 
-pub use aggregate::{shard_labelled_exposition, split_batch_items};
-pub use server::{RouterConfig, RouterServer};
+pub use aggregate::shard_labelled_exposition;
+pub use bikron_serve::batch::split_batch_items;
 pub use state::{parse_shard_url, RouterMetrics, RouterOptions, RouterState, ShardHealth};
 pub use upstream::{Upstream, UpstreamResponse};

@@ -6,11 +6,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bikron_obs::window::{WindowRegistry, WindowedCounter, WindowedHistogram};
-use bikron_obs::{Counter, Gauge, Histogram, JsonWriter, Registry, Report};
-use bikron_serve::batch::{parse_batch, BatchQuery};
+use bikron_obs::{Counter, Gauge, Histogram, JsonWriter, Registry, Report, TraceContext};
+use bikron_serve::batch::{join_batch_items, parse_batch, split_batch_items, BatchQuery};
 use bikron_serve::http::{Request, Response};
+use bikron_serve::Handler;
 
-use crate::aggregate::{shard_labelled_exposition, split_batch_items};
+use crate::aggregate::shard_labelled_exposition;
 use crate::upstream::Upstream;
 
 /// How long [`RouterState::connect`] keeps re-dialling a not-yet-up
@@ -22,7 +23,7 @@ const CONNECT_RETRY_PAUSE: Duration = Duration::from_millis(250);
 
 /// Behavioural knobs for [`RouterState::connect`]. Transport-level
 /// knobs (bind address, pool size, queue) live in
-/// [`RouterConfig`](crate::RouterConfig).
+/// [`ServerConfig`](bikron_serve::ServerConfig).
 #[derive(Clone, Debug)]
 pub struct RouterOptions {
     /// Serve `/v1/stats` from the copy fetched at startup instead of
@@ -160,22 +161,6 @@ impl RouterMetrics {
                 .counter(&format!("router.status.{status}"))
                 .inc();
         }
-    }
-
-    /// Record a connection shed with 503 at the accept gate.
-    pub fn record_shed(&self, bytes: u64) {
-        self.shed.inc();
-        self.record(503, bytes, 0);
-    }
-
-    /// Count an accepted connection.
-    pub fn connection_opened(&self) {
-        self.connections.inc();
-    }
-
-    /// The in-flight request gauge (peak = observed concurrency).
-    pub fn inflight(&self) -> &Gauge {
-        &self.inflight
     }
 
     /// One upstream round-trip to `shard` took `ns`.
@@ -439,7 +424,7 @@ impl RouterState {
         match result {
             Ok(up) => Response {
                 status: up.status,
-                content_type: static_content_type(&up.content_type),
+                content_type: static_content_type(up.header("content-type").unwrap_or_default()),
                 body: up.body,
             },
             Err(e) => {
@@ -566,17 +551,14 @@ impl RouterState {
         }
 
         // Reassemble with exactly the shard-side array framing.
-        let mut out = String::new();
-        out.push('[');
-        for (i, item) in items.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            out.push_str(item.as_deref().expect("every line answered").trim_end());
-        }
-        out.push_str("\n]\n");
-        Response::json(200, out)
+        Response::json(
+            200,
+            join_batch_items(
+                items
+                    .iter()
+                    .map(|item| item.as_deref().expect("every line answered")),
+            ),
+        )
     }
 
     /// Probe every shard's `/v1/health` concurrently.
@@ -723,6 +705,40 @@ impl RouterState {
                 &format!("unknown metrics format {other:?} (json|prometheus)"),
             ),
         }
+    }
+}
+
+/// The router on the shared serving pool: answers relay or scatter to
+/// the shards, with the router's own span context forwarded upstream as
+/// `traceparent` so shard spans hang off the router's trace. It keeps
+/// no per-request diagnostics, so every pool hook stays a no-op.
+impl Handler for RouterState {
+    const ROLE: &'static str = "router";
+    type Exchange = ();
+
+    fn handle(&self, req: &Request, ctx: &TraceContext, _: &mut ()) -> Response {
+        RouterState::handle(self, req, Some(&ctx.to_traceparent()))
+    }
+
+    fn shutdown_requested(&self) -> bool {
+        RouterState::shutdown_requested(self)
+    }
+
+    fn connection_opened(&self) {
+        self.metrics.connections.inc();
+    }
+
+    fn inflight(&self) -> &Gauge {
+        &self.metrics.inflight
+    }
+
+    fn record(&self, status: u16, bytes: u64, ns: u64) {
+        self.metrics.record(status, bytes, ns);
+    }
+
+    fn record_shed(&self, bytes: u64) {
+        self.metrics.shed.inc();
+        self.metrics.record(503, bytes, 0);
     }
 }
 

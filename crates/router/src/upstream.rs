@@ -1,4 +1,5 @@
-//! Pooled keep-alive HTTP/1.1 client for one shard.
+//! Pooled keep-alive HTTP/1.1 connections to one shard, over the
+//! workspace's one bounded client ([`bikron_serve::http::Client`]).
 //!
 //! The router keeps a small pool of idle connections per shard and
 //! reuses them across requests, so steady-state fan-out costs zero
@@ -10,45 +11,24 @@
 //! that shard's key range. All served queries are pure reads, so the
 //! retry is safe for `POST /v1/batch` too.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io;
 use std::sync::Mutex;
 use std::time::Duration;
+
+use bikron_serve::http::{Client, ClientResponse};
 
 /// Idle connections pooled per shard; more concurrent checkouts than
 /// this simply dial extra sockets that are dropped on check-in.
 const POOL_CAP: usize = 16;
 
-/// Bound on an upstream response head line (status or header).
-const MAX_HEAD_LINE: usize = 8192;
+/// One upstream response: status, lower-cased headers, and the body
+/// verbatim — the router relays these bytes untouched.
+pub type UpstreamResponse = ClientResponse;
 
-/// Bound on an upstream response body. Far above anything a shard emits
-/// (the largest bodies are `/metrics` JSON and full batch arrays); the
-/// cap exists so a corrupt `Content-Length` cannot make the router
-/// allocate unboundedly.
-const MAX_RESPONSE_BODY: usize = 64 << 20;
-
-/// One upstream response: status, content type, and the body verbatim —
-/// the router relays these bytes untouched.
-#[derive(Debug, Clone)]
-pub struct UpstreamResponse {
-    /// HTTP status code.
-    pub status: u16,
-    /// `Content-Type` header value (defaults to `application/json`).
-    pub content_type: String,
-    /// Response body, exactly as the shard sent it.
-    pub body: String,
-}
-
-/// A pooled connection: buffered reads, writes through the same socket.
-struct Conn {
-    reader: BufReader<TcpStream>,
-}
-
-/// One shard's address plus its connection pool.
+/// One shard's address plus its pool of idle keep-alive clients.
 pub struct Upstream {
     addr: String,
-    pool: Mutex<Vec<Conn>>,
+    pool: Mutex<Vec<Client>>,
     connect_timeout: Duration,
     io_timeout: Duration,
 }
@@ -71,17 +51,8 @@ impl Upstream {
     }
 
     /// Open a fresh connection.
-    fn dial(&self) -> io::Result<Conn> {
-        let sock = self.addr.to_socket_addrs()?.next().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, "address resolves to nothing")
-        })?;
-        let stream = TcpStream::connect_timeout(&sock, self.connect_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.io_timeout))?;
-        stream.set_write_timeout(Some(self.io_timeout))?;
-        Ok(Conn {
-            reader: BufReader::new(stream),
-        })
+    fn dial(&self) -> io::Result<Client> {
+        Client::connect(&self.addr, self.connect_timeout, self.io_timeout)
     }
 
     /// Issue one request, reusing a pooled connection when available,
@@ -110,126 +81,29 @@ impl Upstream {
     /// connection returns to the pool (unless the shard asked to close).
     fn round_trip(
         &self,
-        mut conn: Conn,
+        mut conn: Client,
         method: &str,
         target: &str,
         body: Option<&str>,
         traceparent: Option<&str>,
     ) -> io::Result<UpstreamResponse> {
-        let mut head = format!("{method} {target} HTTP/1.1\r\nHost: {}\r\n", self.addr);
-        if let Some(tp) = traceparent {
-            head.push_str("traceparent: ");
-            head.push_str(tp);
-            head.push_str("\r\n");
-        }
-        if let Some(b) = body {
-            head.push_str(&format!("Content-Length: {}\r\n", b.len()));
-        }
-        head.push_str("\r\n");
-        {
-            let mut w = conn.reader.get_ref();
-            w.write_all(head.as_bytes())?;
-            if let Some(b) = body {
-                w.write_all(b.as_bytes())?;
-            }
-            w.flush()?;
-        }
-
-        let status_line = read_head_line(&mut conn.reader)?;
-        let status = parse_status_line(&status_line)?;
-        let mut content_length: Option<usize> = None;
-        let mut content_type = "application/json".to_string();
-        let mut close = false;
-        loop {
-            let line = read_head_line(&mut conn.reader)?;
-            if line.is_empty() {
-                break;
-            }
-            let Some((name, value)) = line.split_once(':') else {
-                return Err(bad_response("malformed header line"));
-            };
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim();
-            match name.as_str() {
-                "content-length" => {
-                    let len: usize = value.parse().map_err(|_| bad_response("bad length"))?;
-                    if len > MAX_RESPONSE_BODY {
-                        return Err(bad_response("response body exceeds bound"));
-                    }
-                    content_length = Some(len);
-                }
-                "content-type" => content_type = value.to_string(),
-                "connection" => close = value.eq_ignore_ascii_case("close"),
-                _ => {}
-            }
-        }
-        let len = content_length.ok_or_else(|| bad_response("missing content-length"))?;
-        let mut buf = vec![0u8; len];
-        conn.reader.read_exact(&mut buf)?;
-        let body =
-            String::from_utf8(buf).map_err(|_| bad_response("response body is not UTF-8"))?;
-        if !close {
+        let traceparent = traceparent.map(|value| ("traceparent", value));
+        let resp = conn.request(method, target, traceparent.as_slice(), body)?;
+        if !resp.wants_close() {
             let mut pool = self.pool.lock().unwrap();
             if pool.len() < POOL_CAP {
                 pool.push(conn);
             }
         }
-        Ok(UpstreamResponse {
-            status,
-            content_type,
-            body,
-        })
+        Ok(resp)
     }
-}
-
-fn bad_response(detail: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, detail.to_string())
-}
-
-/// Read one CRLF-terminated head line, bounded; EOF mid-head is an
-/// error (the connection was torn down or reused after a server close).
-fn read_head_line(r: &mut BufReader<TcpStream>) -> io::Result<String> {
-    let mut buf: Vec<u8> = Vec::with_capacity(64);
-    loop {
-        let chunk = r.fill_buf()?;
-        if chunk.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-response",
-            ));
-        }
-        let nl = chunk.iter().position(|&b| b == b'\n');
-        let take = nl.map_or(chunk.len(), |i| i + 1);
-        if buf.len() + take > MAX_HEAD_LINE + 2 {
-            return Err(bad_response("response head line exceeds bound"));
-        }
-        buf.extend_from_slice(&chunk[..take]);
-        r.consume(take);
-        if nl.is_some() {
-            break;
-        }
-    }
-    while matches!(buf.last(), Some(b'\n') | Some(b'\r')) {
-        buf.pop();
-    }
-    String::from_utf8(buf).map_err(|_| bad_response("response head is not UTF-8"))
-}
-
-fn parse_status_line(line: &str) -> io::Result<u16> {
-    let mut parts = line.split_whitespace();
-    match parts.next() {
-        Some(v) if v.starts_with("HTTP/1.") => {}
-        _ => return Err(bad_response("not an HTTP/1.x status line")),
-    }
-    parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad_response("missing status code"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bikron_serve::http::{parse_request, write_response, Response};
+    use std::io::BufReader;
     use std::net::TcpListener;
 
     /// A one-connection fake shard: answers every request on one
@@ -238,30 +112,14 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let handle = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
+            let (mut stream, _) = listener.accept().unwrap();
             let mut reader = BufReader::new(stream.try_clone().unwrap());
             let mut served = 0usize;
             for body in responses {
-                // Drain one request head (ignore any body: GETs only).
-                let mut line = String::new();
-                loop {
-                    line.clear();
-                    if reader.read_line(&mut line).unwrap() == 0 {
-                        return served;
-                    }
-                    if line == "\r\n" || line == "\n" {
-                        break;
-                    }
+                if parse_request(&mut reader).is_err() {
+                    return served;
                 }
-                let mut w = stream.try_clone().unwrap();
-                write!(
-                    w,
-                    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{}",
-                    body.len(),
-                    body
-                )
-                .unwrap();
-                w.flush().unwrap();
+                write_response(&mut stream, &Response::json(200, body), true).unwrap();
                 served += 1;
             }
             served
@@ -292,27 +150,11 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let handle = std::thread::spawn(move || {
             for body in ["first", "second"] {
-                let (stream, _) = listener.accept().unwrap();
+                let (mut stream, _) = listener.accept().unwrap();
                 let mut reader = BufReader::new(stream.try_clone().unwrap());
-                let mut line = String::new();
-                loop {
-                    line.clear();
-                    if reader.read_line(&mut line).unwrap() == 0 {
-                        break;
-                    }
-                    if line == "\r\n" || line == "\n" {
-                        break;
-                    }
-                }
-                let mut w = stream.try_clone().unwrap();
-                write!(
-                    w,
-                    "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{}",
-                    body.len(),
-                    body
-                )
-                .unwrap();
-                w.flush().unwrap();
+                parse_request(&mut reader).unwrap();
+                let resp = Response::json(200, body.to_string());
+                write_response(&mut stream, &resp, true).unwrap();
                 // Dropping `stream` here closes the connection: the
                 // pooled socket is stale by the next request.
             }

@@ -167,18 +167,80 @@ pub fn eval_batch(state: &ServeState, queries: &[BatchQuery], threads: usize) ->
         });
     }
 
-    let mut body = String::with_capacity(results.len() * 64);
+    Response::json(
+        200,
+        join_batch_items(results.iter().map(|r| {
+            r.as_ref()
+                .expect("every batch slot is filled")
+                .body
+                .as_str()
+        })),
+    )
+}
+
+/// Frame item bodies as the `POST /v1/batch` JSON array: `[`, then each
+/// item on its own line with trailing whitespace trimmed, comma
+/// separated, then `\n]\n`. The router reassembles scattered shard
+/// answers with this same function, which keeps a cluster's batch body
+/// byte-identical to a single node's.
+pub fn join_batch_items<'a>(items: impl ExactSizeIterator<Item = &'a str>) -> String {
+    let mut body = String::with_capacity(items.len() * 64);
     body.push('[');
-    for (i, resp) in results.into_iter().enumerate() {
-        let resp = resp.expect("every batch slot is filled");
+    for (i, item) in items.enumerate() {
         if i > 0 {
             body.push(',');
         }
         body.push('\n');
-        body.push_str(resp.body.trim_end());
+        body.push_str(item.trim_end());
     }
     body.push_str("\n]\n");
-    Response::json(200, body)
+    body
+}
+
+/// Split a `POST /v1/batch` response body (`[\n{...},\n{...}\n]\n`)
+/// into its per-line item strings, verbatim — the inverse of
+/// [`join_batch_items`]. Items are separated by top-level commas; a
+/// depth- and string-aware scan keeps commas inside nested objects,
+/// arrays and strings intact. Returns `None` when the body is not a
+/// well-formed array (truncated, unbalanced, an empty item, or junk
+/// after the close), so a caller treats the answer as failed rather
+/// than reassembling garbage.
+pub fn split_batch_items(body: &str) -> Option<Vec<String>> {
+    let trimmed = body.trim();
+    let inner = trimmed.strip_prefix('[')?.strip_suffix(']')?;
+    if inner.trim().is_empty() {
+        return Some(Vec::new());
+    }
+    let mut items = Vec::new();
+    let mut depth = 0usize;
+    let mut in_string = false;
+    let mut escaped = false;
+    let mut start = 0usize;
+    for (i, c) in inner.char_indices() {
+        if escaped {
+            escaped = false;
+            continue;
+        }
+        match c {
+            '\\' if in_string => escaped = true,
+            '"' => in_string = !in_string,
+            '{' | '[' if !in_string => depth += 1,
+            '}' | ']' if !in_string => depth = depth.checked_sub(1)?,
+            ',' if !in_string && depth == 0 => {
+                items.push(inner[start..i].trim().to_string());
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    if depth != 0 || in_string {
+        return None;
+    }
+    items.push(inner[start..].trim().to_string());
+    if items.iter().any(|s| s.is_empty()) {
+        return None;
+    }
+    Some(items)
 }
 
 /// Evaluate one query — exactly the single-endpoint answer.
@@ -272,6 +334,41 @@ mod tests {
         let resp = err.response();
         assert_eq!(resp.status, 400);
         assert!(resp.body.contains("\"line\": 3"));
+    }
+
+    #[test]
+    fn splits_what_join_frames() {
+        let items = [
+            "{\"index\": 1}",
+            "{\"edge\": [2, 3], \"present\": true}",
+            "{\"s\": \"a,b } [\"}",
+            "{\n  \"nested\": {\"a\": 1}\n}",
+        ];
+        let body = join_batch_items(items.iter().copied());
+        assert_eq!(
+            body,
+            "[\n{\"index\": 1},\n{\"edge\": [2, 3], \"present\": true},\n\
+             {\"s\": \"a,b } [\"},\n{\n  \"nested\": {\"a\": 1}\n}\n]\n"
+        );
+        assert_eq!(split_batch_items(&body).unwrap(), items);
+        assert_eq!(join_batch_items(std::iter::empty()), "[\n]\n");
+        assert_eq!(split_batch_items("[\n]\n").unwrap().len(), 0);
+        assert_eq!(split_batch_items("[]").unwrap().len(), 0);
+    }
+
+    #[test]
+    fn split_rejects_malformed_arrays() {
+        for bad in [
+            "{}",
+            "{\"not\": \"array\"}",
+            "[{\"unbalanced\": 1}",
+            "[{\"unbalanced\": 1]",
+            "[{\"a\": 1},]",
+            "[{\"open string],\"}",
+            "[{\"a\": 1}] junk",
+        ] {
+            assert_eq!(split_batch_items(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

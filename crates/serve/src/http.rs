@@ -10,8 +10,16 @@
 //! overflow) instead of unbounded buffering. That bounding is what keeps
 //! per-request memory O(1): the parser never holds more than one line
 //! plus at most [`MAX_BODY`] body bytes.
+//!
+//! The same bounded line and header readers back the one HTTP client
+//! in the workspace ([`Client`], [`read_response`]): the router's
+//! upstream pool, `loadgen`, `bikron replay`/`monitor`/`trace`/
+//! `profile`, and the test harnesses all read responses through them,
+//! with the body capped at [`MAX_RESPONSE_BODY`].
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 use bikron_obs::json::escape_into;
 
@@ -25,19 +33,26 @@ pub const MAX_HEADERS: usize = 64;
 /// newline-delimited queries here; on GET the (stray) body is still
 /// drained so keep-alive framing stays intact.
 pub const MAX_BODY: usize = 65536;
+/// Largest response body [`read_response`] accepts, bytes. Far above
+/// anything a bikron server emits (the largest bodies are `/metrics`
+/// JSON and full batch arrays); the cap exists so a corrupt
+/// `Content-Length` cannot make a client allocate unboundedly.
+pub const MAX_RESPONSE_BODY: usize = 64 << 20;
 
-/// Everything that can go wrong while reading one request.
+/// Everything that can go wrong while reading one request or response.
+/// The status mapping applies to requests; a client reading a response
+/// only reports the error.
 #[derive(Debug)]
 pub enum HttpError {
-    /// Malformed request line, header, or percent-encoding → 400.
+    /// Malformed start line, header, body or percent-encoding → 400.
     BadRequest(String),
     /// Syntactically valid but unsupported method (POST, PUT, …) → 405.
     MethodNotAllowed(String),
-    /// Request line or declared body exceeds its bound → 413.
+    /// Start line or declared body exceeds its bound → 413.
     TooLarge(&'static str),
     /// Header line too long or too many headers → 431.
     HeadersTooLarge(&'static str),
-    /// Clean EOF before the first byte of a request (keep-alive close).
+    /// Clean EOF before the first byte of a message (keep-alive close).
     Closed,
     /// Transport error (includes read timeouts).
     Io(io::Error),
@@ -65,6 +80,19 @@ impl HttpError {
             HttpError::HeadersTooLarge(what) => format!("{what} exceeds the configured bound"),
             HttpError::Closed => "connection closed".to_string(),
             HttpError::Io(e) => format!("io: {e}"),
+        }
+    }
+}
+
+impl From<HttpError> for io::Error {
+    fn from(e: HttpError) -> io::Error {
+        match e {
+            HttpError::Io(e) => e,
+            HttpError::Closed => io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed before a response",
+            ),
+            other => io::Error::new(io::ErrorKind::InvalidData, other.detail()),
         }
     }
 }
@@ -97,18 +125,25 @@ impl Request {
 
     /// First header value for the lower-case `name`, if present.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        header_value(&self.headers, name)
     }
 
     /// Whether the client asked to close the connection after this
     /// request (`Connection: close`; HTTP/1.1 defaults to keep-alive).
     pub fn wants_close(&self) -> bool {
-        self.header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        wants_close(&self.headers)
     }
+}
+
+fn header_value<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| v.as_str())
+}
+
+fn wants_close(headers: &[(String, String)]) -> bool {
+    header_value(headers, "connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
 }
 
 /// Methods we recognise as valid HTTP but do not serve → 405. Anything
@@ -152,7 +187,7 @@ fn read_line_bounded<R: BufRead>(
     }
     String::from_utf8(buf)
         .map(Some)
-        .map_err(|_| HttpError::BadRequest("request is not valid UTF-8".into()))
+        .map_err(|_| HttpError::BadRequest("message head is not valid UTF-8".into()))
 }
 
 /// Percent-decode `s`; `plus_space` additionally maps `+` → space (query
@@ -246,15 +281,40 @@ pub fn parse_request<R: BufRead>(r: &mut R) -> Result<Request, HttpError> {
         }
     }
 
+    let (headers, content_length) = read_headers(r)?;
+    let content_length = content_length.unwrap_or(0);
+    if content_length > MAX_BODY {
+        return Err(HttpError::TooLarge("request body"));
+    }
+    // Read the (bounded) body: batch requests use it, and on GET the
+    // drain keeps keep-alive framing intact for stray payloads.
+    let body = read_body(r, content_length)?;
+
+    Ok(Request {
+        method: method.to_string(),
+        path,
+        query,
+        headers,
+        body,
+    })
+}
+
+/// Lower-cased header list plus the parsed `Content-Length`, if sent.
+type Headers = (Vec<(String, String)>, Option<usize>);
+
+/// Read header lines up to the blank line, each at most
+/// [`MAX_HEADER_LINE`] bytes and at most [`MAX_HEADERS`] of them. Names
+/// are lower-cased, values trimmed.
+fn read_headers<R: BufRead>(r: &mut R) -> Result<Headers, HttpError> {
     let mut headers = Vec::new();
-    let mut content_length = 0usize;
+    let mut content_length = None;
     loop {
         let line = read_line_bounded(r, MAX_HEADER_LINE, || {
             HttpError::HeadersTooLarge("header line")
         })?
         .ok_or_else(|| HttpError::BadRequest("EOF inside headers".into()))?;
         if line.is_empty() {
-            break;
+            return Ok((headers, content_length));
         }
         if headers.len() >= MAX_HEADERS {
             return Err(HttpError::HeadersTooLarge("header count"));
@@ -265,38 +325,148 @@ pub fn parse_request<R: BufRead>(r: &mut R) -> Result<Request, HttpError> {
         let name = name.trim().to_ascii_lowercase();
         let value = value.trim().to_string();
         if name == "content-length" {
-            content_length = value
-                .parse()
-                .map_err(|_| HttpError::BadRequest("bad content-length".into()))?;
+            content_length = Some(
+                value
+                    .parse()
+                    .map_err(|_| HttpError::BadRequest("bad content-length".into()))?,
+            );
         }
         headers.push((name, value));
     }
+}
 
-    if content_length > MAX_BODY {
-        return Err(HttpError::TooLarge("request body"));
-    }
-    // Read the (bounded) body: batch requests use it, and on GET the
-    // drain keeps keep-alive framing intact for stray payloads.
-    let mut body = Vec::with_capacity(content_length);
-    let mut remaining = content_length;
-    while remaining > 0 {
+/// Read exactly `len` body bytes (already checked against the caller's
+/// cap). The buffer grows with the bytes that actually arrive, so a
+/// large declared length followed by EOF allocates little.
+fn read_body<R: BufRead>(r: &mut R, len: usize) -> Result<Vec<u8>, HttpError> {
+    let mut body = Vec::with_capacity(len.min(MAX_BODY));
+    while body.len() < len {
         let chunk = r.fill_buf().map_err(HttpError::Io)?;
         if chunk.is_empty() {
             return Err(HttpError::BadRequest("EOF inside body".into()));
         }
-        let take = chunk.len().min(remaining);
+        let take = chunk.len().min(len - body.len());
         body.extend_from_slice(&chunk[..take]);
         r.consume(take);
-        remaining -= take;
+    }
+    Ok(body)
+}
+
+/// One response as read by [`read_response`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ClientResponse {
+    /// HTTP status code.
+    pub status: u16,
+    /// Headers with lower-cased names, original-case values.
+    pub headers: Vec<(String, String)>,
+    /// The body, exactly as sent.
+    pub body: String,
+}
+
+impl ClientResponse {
+    /// First header value for the lower-case `name`, if present.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        header_value(&self.headers, name)
     }
 
-    Ok(Request {
-        method: method.to_string(),
-        path,
-        query,
+    /// Whether the server will close the connection after this response.
+    pub fn wants_close(&self) -> bool {
+        wants_close(&self.headers)
+    }
+}
+
+/// Read one `Content-Length`-framed HTTP/1.x response from `r`, under
+/// the same bounds as [`parse_request`]: the status line and each header
+/// line at most [`MAX_HEADER_LINE`] bytes, at most [`MAX_HEADERS`]
+/// headers, and a body of at most [`MAX_RESPONSE_BODY`] valid UTF-8
+/// bytes. A clean EOF before the first byte is [`HttpError::Closed`];
+/// every other violation is a named [`HttpError`].
+pub fn read_response<R: BufRead>(r: &mut R) -> Result<ClientResponse, HttpError> {
+    let line = read_line_bounded(r, MAX_HEADER_LINE, || {
+        HttpError::HeadersTooLarge("status line")
+    })?
+    .ok_or(HttpError::Closed)?;
+    let mut parts = line.split_whitespace();
+    let status = match (parts.next(), parts.next()) {
+        (Some(version), Some(code)) if version.starts_with("HTTP/1.") => code.parse().ok(),
+        _ => None,
+    }
+    .ok_or_else(|| HttpError::BadRequest(format!("not an HTTP/1.x status line: {line:?}")))?;
+    let (headers, content_length) = read_headers(r)?;
+    let len = content_length
+        .ok_or_else(|| HttpError::BadRequest("response has no content-length".into()))?;
+    if len > MAX_RESPONSE_BODY {
+        return Err(HttpError::TooLarge("response body"));
+    }
+    let body = String::from_utf8(read_body(r, len)?)
+        .map_err(|_| HttpError::BadRequest("response body is not valid UTF-8".into()))?;
+    Ok(ClientResponse {
+        status,
         headers,
         body,
     })
+}
+
+/// A keep-alive HTTP/1.1 client over one TCP connection. `TCP_NODELAY`
+/// and the I/O timeouts are set once at dial; every request is framed
+/// with `Content-Length` when it has a body, and every answer is read by
+/// [`read_response`]. It never retries: a caller that wants a retry
+/// (the router's upstream pool) dials a fresh client.
+pub struct Client {
+    reader: BufReader<TcpStream>,
+    host: String,
+}
+
+impl Client {
+    /// Dial `addr` (`host:port`) within `connect_timeout`; every later
+    /// read and write is bounded by `io_timeout`.
+    pub fn connect(
+        addr: &str,
+        connect_timeout: Duration,
+        io_timeout: Duration,
+    ) -> io::Result<Client> {
+        let sock = addr.to_socket_addrs()?.next().ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("{addr} resolves to nothing"),
+            )
+        })?;
+        let stream = TcpStream::connect_timeout(&sock, connect_timeout)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(io_timeout))?;
+        stream.set_write_timeout(Some(io_timeout))?;
+        Ok(Client {
+            reader: BufReader::new(stream),
+            host: addr.to_string(),
+        })
+    }
+
+    /// Send one request and read its response. `headers` are extra
+    /// `(name, value)` header lines, e.g. a `traceparent`.
+    pub fn request(
+        &mut self,
+        method: &str,
+        target: &str,
+        headers: &[(&str, &str)],
+        body: Option<&str>,
+    ) -> io::Result<ClientResponse> {
+        let mut out = format!("{method} {target} HTTP/1.1\r\nHost: {}\r\n", self.host);
+        for (name, value) in headers {
+            out.push_str(&format!("{name}: {value}\r\n"));
+        }
+        if let Some(b) = body {
+            out.push_str(&format!("Content-Length: {}\r\n\r\n{b}", b.len()));
+        } else {
+            out.push_str("\r\n");
+        }
+        self.reader.get_ref().write_all(out.as_bytes())?;
+        Ok(read_response(&mut self.reader)?)
+    }
+
+    /// `GET target` with no extra headers.
+    pub fn get(&mut self, target: &str) -> io::Result<ClientResponse> {
+        self.request("GET", target, &[], None)
+    }
 }
 
 /// A response ready for serialisation.

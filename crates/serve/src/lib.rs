@@ -40,7 +40,9 @@
 //! Like the rest of the workspace the crate is std-only: the HTTP/1.1
 //! layer ([`http`]) is hand-rolled with hard bounds on every input
 //! dimension, and the thread pool ([`pool`]) sheds load with 503 instead
-//! of queueing unboundedly. Per-request memory is bounded by the page
+//! of queueing unboundedly. Both are shared with `bikron-router`: the
+//! router is another [`Handler`] on the same pool, and its upstream
+//! connections use the same bounded [`http::Client`]. Per-request memory is bounded by the page
 //! `limit` cap (times `batch_max` for a batch), never by product size —
 //! the "sublinear memory per request" in the service's name.
 //!
@@ -70,9 +72,9 @@ pub mod snapshot;
 pub mod state;
 
 pub use cache::{CacheKey, ShardedCache};
-pub use pool::{Server, ServerConfig};
+pub use pool::{Handler, Server, ServerConfig};
 pub use snapshot::{Snapshot, SnapshotBackend, SnapshotError};
 pub use state::{
-    profile_response, ServeOptions, ServeState, WarmInfo, DEFAULT_BATCH_MAX,
-    DEFAULT_CACHE_ENTRIES, DEFAULT_CACHE_SHARDS, DEFAULT_LIMIT, MAX_LIMIT, MAX_PROFILE_SECONDS,
+    profile_response, ServeOptions, ServeState, WarmInfo, DEFAULT_BATCH_MAX, DEFAULT_CACHE_ENTRIES,
+    DEFAULT_CACHE_SHARDS, DEFAULT_LIMIT, MAX_LIMIT, MAX_PROFILE_SECONDS,
 };

@@ -1,14 +1,26 @@
-//! Fixed thread-pool acceptor with a bounded pending-connection queue.
+//! Fixed thread-pool acceptor with a bounded pending-connection queue,
+//! shared by every bikron server tier.
 //!
 //! One acceptor thread (the caller of [`Server::run`]) pulls connections
 //! off the listener and offers them to a bounded queue; `threads` workers
 //! drain it, each running a keep-alive request loop against the shared
-//! [`ServeState`]. When the queue is full the acceptor *sheds load*: it
+//! [`Handler`]. When the queue is full the acceptor *sheds load*: it
 //! writes a `503 Service Unavailable` (with `Retry-After`) directly on
 //! the fresh socket and closes it, so clients get an immediate, explicit
 //! signal instead of an unbounded accept backlog. Memory is therefore
 //! bounded by `threads + queue_capacity` sockets regardless of offered
 //! load.
+//!
+//! The pool owns everything transport-shaped: bind, accept, the queue,
+//! shedding, the keep-alive read loop, `traceparent` adoption, trace-id
+//! stamping on error bodies, the traced response write, and the
+//! per-request metric record. A [`Handler`] supplies the answer. Two
+//! handlers exist: [`ServeState`](crate::ServeState) (a query server or
+//! cluster shard) and the router's `RouterState`. Dispatch is static —
+//! `Server<H>` is monomorphised per handler — and serve's diagnostics
+//! (span trees, profile phases, cache outcome, access log) sit behind
+//! [`Handler`] hooks that default to no-ops, so a handler that keeps
+//! none of them pays nothing for them.
 
 use std::collections::VecDeque;
 use std::io::{self, BufReader, Write};
@@ -16,17 +28,77 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use bikron_obs::{SpanRecorder, TraceContext};
+use bikron_obs::{Gauge, TraceContext};
 
-use crate::http::{parse_request, write_response, write_response_traced, HttpError, Response};
-use crate::state::ServeState;
+use crate::http::{
+    parse_request, write_response, write_response_traced, HttpError, Request, Response,
+};
 
 /// How long the nonblocking acceptor sleeps between polls, and workers
 /// wait on the queue, before re-checking the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
-/// Server configuration (transport-level knobs only; query behaviour
-/// lives in [`ServeState`]).
+/// What a server tier plugs into the pool: the request answer, the
+/// shutdown flag, and the transport metrics. The `open`/`begin`/
+/// `writing`/`finish` hooks bracket one request for handlers that keep
+/// per-request diagnostics; they default to no-ops.
+pub trait Handler: Send + Sync + 'static {
+    /// Worker thread name prefix: workers are `{ROLE}-worker-{n}`.
+    const ROLE: &'static str;
+
+    /// Per-request diagnostic state, threaded from [`Handler::open`]
+    /// through [`Handler::finish`]. `()` for a handler that keeps none.
+    type Exchange: Default;
+
+    /// Answer one parsed request. `ctx` is the request's trace identity
+    /// (adopted from the client's `traceparent` or freshly minted).
+    fn handle(&self, req: &Request, ctx: &TraceContext, exchange: &mut Self::Exchange) -> Response;
+
+    /// Whether workers and the acceptor should stop.
+    fn shutdown_requested(&self) -> bool;
+
+    /// Count one accepted connection.
+    fn connection_opened(&self);
+
+    /// The in-flight request gauge, held across answer and write.
+    fn inflight(&self) -> &Gauge;
+
+    /// Record one written response: status, bytes on the wire, and
+    /// latency from the end of the request read to the end of the write.
+    fn record(&self, status: u16, bytes: u64, ns: u64);
+
+    /// Record one connection shed with 503 at the accept gate.
+    fn record_shed(&self, bytes: u64);
+
+    /// Hook: a worker is about to block reading the next request.
+    fn open(&self) -> Self::Exchange {
+        Self::Exchange::default()
+    }
+
+    /// Hook: a request head was read (or failed to parse) and got its
+    /// trace identity; `remote_parent` is the adopted span id (0 when
+    /// the id was minted).
+    fn begin(&self, _exchange: &mut Self::Exchange, _ctx: &TraceContext, _remote_parent: u64) {}
+
+    /// Hook: the response is about to be written.
+    fn writing(&self, _exchange: &mut Self::Exchange) {}
+
+    /// Hook: the response was written. `req` is `None` when the request
+    /// failed to parse.
+    fn finish(
+        &self,
+        _exchange: Self::Exchange,
+        _req: Option<&Request>,
+        _status: u16,
+        _bytes: u64,
+        _ns: u64,
+        _trace_id: &str,
+    ) {
+    }
+}
+
+/// Server configuration (transport-level knobs only; request behaviour
+/// lives in the [`Handler`]).
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:8080` (port 0 picks a free port).
@@ -94,20 +166,20 @@ impl ConnQueue {
 }
 
 /// A bound, not-yet-running server.
-pub struct Server {
+pub struct Server<H: Handler> {
     listener: TcpListener,
-    state: Arc<ServeState>,
+    handler: Arc<H>,
     config: ServerConfig,
 }
 
-impl Server {
+impl<H: Handler> Server<H> {
     /// Bind the listener. Fails fast (before any thread spawns) on a bad
     /// or busy address.
-    pub fn bind(config: ServerConfig, state: Arc<ServeState>) -> io::Result<Server> {
+    pub fn bind(config: ServerConfig, handler: Arc<H>) -> io::Result<Server<H>> {
         let listener = TcpListener::bind(&config.addr)?;
         Ok(Server {
             listener,
-            state,
+            handler,
             config,
         })
     }
@@ -123,7 +195,7 @@ impl Server {
     pub fn run(self) -> io::Result<()> {
         let Server {
             listener,
-            state,
+            handler,
             config,
         } = self;
         listener.set_nonblocking(true)?;
@@ -132,21 +204,21 @@ impl Server {
         let workers: Vec<_> = (0..config.threads.max(1))
             .map(|n| {
                 let queue = Arc::clone(&queue);
-                let state = Arc::clone(&state);
+                let handler = Arc::clone(&handler);
                 let read_timeout = config.read_timeout;
                 std::thread::Builder::new()
-                    .name(format!("serve-worker-{n}"))
-                    .spawn(move || worker_loop(&queue, &state, read_timeout))
+                    .name(format!("{}-worker-{n}", H::ROLE))
+                    .spawn(move || worker_loop(&queue, &*handler, read_timeout))
                     .expect("spawn worker thread")
             })
             .collect();
 
-        while !state.shutdown_requested() {
+        while !handler.shutdown_requested() {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    state.metrics().connection_opened();
+                    handler.connection_opened();
                     if let Err(shed) = queue.try_push(stream) {
-                        shed_connection(shed, state.metrics());
+                        shed_connection(shed, &*handler);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -157,8 +229,8 @@ impl Server {
             }
         }
 
-        // Workers observe the same flag via `state`; join gives them one
-        // queue-poll interval to finish in-flight requests.
+        // Workers observe the same flag via the handler; join gives them
+        // one queue-poll interval to finish in-flight requests.
         for w in workers {
             let _ = w.join();
         }
@@ -167,69 +239,53 @@ impl Server {
 }
 
 /// Write the 503 load-shed response on a fresh socket and close it.
-fn shed_connection(mut stream: TcpStream, metrics: &crate::state::ServeMetrics) {
+fn shed_connection<H: Handler>(mut stream: TcpStream, handler: &H) {
     let resp = Response::error(503, "pending-connection queue is full; retry shortly");
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let bytes = write_response(&mut stream, &resp, false).unwrap_or(0);
     let _ = stream.flush();
-    metrics.record_shed(bytes);
+    handler.record_shed(bytes);
 }
 
 /// Worker: pull connections until shutdown, serving each keep-alive
 /// session to completion.
-fn worker_loop(queue: &ConnQueue, state: &ServeState, read_timeout: Duration) {
+fn worker_loop<H: Handler>(queue: &ConnQueue, handler: &H, read_timeout: Duration) {
     loop {
         match queue.pop_timeout(POLL_INTERVAL) {
-            Some(stream) => serve_connection(stream, state, read_timeout),
-            None if state.shutdown_requested() => return,
+            Some(stream) => serve_connection(stream, handler, read_timeout),
+            None if handler.shutdown_requested() => return,
             None => {}
         }
     }
 }
 
-/// One keep-alive session: parse → route → respond, recording metrics,
-/// one access-log event, and (when tracing is enabled) one span tree
-/// per request, until close/error/shutdown.
-fn serve_connection(stream: TcpStream, state: &ServeState, read_timeout: Duration) {
+/// One keep-alive session: parse → answer → respond, recording metrics
+/// and running the handler's hooks per request, until close, error or
+/// shutdown.
+fn serve_connection<H: Handler>(stream: TcpStream, handler: &H, read_timeout: Duration) {
     if stream.set_read_timeout(Some(read_timeout)).is_err() || stream.set_nodelay(true).is_err() {
         return;
     }
-    let metrics = state.metrics();
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
     };
     let mut reader = BufReader::new(stream);
     loop {
-        // The recorder's clock is based here, before the read, so the
-        // `accept` span shows real time spent pulling the request off
-        // the wire. On keep-alive connections this includes idle time
-        // between requests — acceptable for a diagnostic span, and kept
-        // out of the latency metrics below.
-        let io_started = Instant::now();
-        // The profiler's `accept` frame covers the blocking read (and,
-        // on keep-alive connections, idle time between requests — the
-        // sampler attributes a quiet server to `accept`, which is true:
-        // the worker really is parked in the socket read).
-        let accept_frame = bikron_obs::profile::phase("accept");
+        let mut exchange = handler.open();
         let parsed = parse_request(&mut reader);
-        drop(accept_frame);
         if matches!(parsed, Err(HttpError::Closed) | Err(HttpError::Io(_))) {
             return;
         }
         // The latency clock starts once a full request has been read, so
         // keep-alive idle time between requests never pollutes the
-        // windowed p99 the health endpoint alarms on (nor the slow-trace
-        // capture decision, which uses the same total).
+        // windowed p99 the health endpoint alarms on.
         let started = Instant::now();
-        // Held through routing AND the response write: the live gauge a
-        // dashboard polls must count requests still being flushed, not
-        // only those inside the router.
-        let _inflight = metrics.inflight().enter();
-        crate::state::reset_cache_outcome();
-        // Every request gets a trace identity, recorder or not: adopt
-        // the client's `traceparent` when one parses (our root span
-        // becomes a child in the caller's trace), otherwise mint ids.
+        // Held through the answer AND the response write: the live gauge
+        // a dashboard polls must count requests still being flushed.
+        let _inflight = handler.inflight().enter();
+        // Every request gets a trace identity: adopt the client's
+        // `traceparent` when one parses (our root span becomes a child
+        // in the caller's trace), otherwise mint ids.
         let (ctx, remote_parent) = match parsed
             .as_ref()
             .ok()
@@ -239,90 +295,39 @@ fn serve_connection(stream: TcpStream, state: &ServeState, read_timeout: Duratio
             Some(remote) => (TraceContext::child_of(remote), remote.span_id),
             None => (TraceContext::generate(), 0),
         };
-        let trace_hex = ctx.trace_id_hex();
-        let recorder = state
-            .spans()
-            .enabled()
-            .then(|| Arc::new(SpanRecorder::with_start(ctx, remote_parent, io_started)));
-        if let Some(rec) = &recorder {
-            // `accept` retroactively covers the socket read; `parse` is
-            // a zero-width marker (parsing happens inside the read).
-            let accept = rec.begin_at("accept", None, 0);
-            rec.end(accept);
-            let parse = rec.begin("parse", None);
-            rec.end(parse);
-        }
-        let (resp, keep_alive, method, shape) = match parsed {
-            Ok(req) => {
-                // Install the recorder thread-locally for the duration
-                // of routing so handlers can hang cache/serialize (and
-                // per-batch-item) child spans off the evaluate span.
-                let evaluate = recorder.as_ref().and_then(|rec| {
-                    let tok = rec.begin("evaluate", None)?;
-                    crate::state::set_current_recorder(Arc::clone(rec), tok);
-                    Some(tok)
-                });
-                let evaluate_frame = bikron_obs::profile::phase("evaluate");
-                let resp = state.handle(&req);
-                drop(evaluate_frame);
-                crate::state::take_current_recorder();
-                if let Some(rec) = &recorder {
-                    rec.end(evaluate);
-                }
-                let keep = !req.wants_close();
-                let shape = crate::state::path_shape(&req.path);
-                (resp, keep, req.method, shape)
-            }
+        let trace_id = ctx.trace_id_hex();
+        handler.begin(&mut exchange, &ctx, remote_parent);
+        let (resp, keep_alive) = match &parsed {
+            Ok(req) => (handler.handle(req, &ctx, &mut exchange), !req.wants_close()),
             // Parse failures are answered, then the connection is closed:
             // after a framing error the byte stream can't be trusted.
-            Err(e) => (
-                Response::error(e.status(), &e.detail()),
-                false,
-                "-".to_string(),
-                "malformed".to_string(),
-            ),
+            Err(e) => (Response::error(e.status(), &e.detail()), false),
         };
         // Error bodies carry the trace id so a client pasting a failure
         // into a bug report hands over the lookup key; success bodies
-        // stay byte-identical to the untraced server (the id travels in
+        // stay byte-identical to the untraced answer (the id travels in
         // the `x-bikron-trace-id` header instead).
         let resp = if resp.status >= 400 {
-            resp.with_trace_id(&trace_hex)
+            resp.with_trace_id(&trace_id)
         } else {
             resp
         };
-        let status = resp.status;
-        let write = recorder.as_ref().and_then(|rec| rec.begin("write", None));
-        let write_frame = bikron_obs::profile::phase("write");
-        let wrote = write_response_traced(&mut writer, &resp, keep_alive, Some(&trace_hex));
-        drop(write_frame);
-        match wrote {
-            Ok(bytes) => {
-                if let Some(rec) = &recorder {
-                    rec.end(write);
-                }
-                let ns = started.elapsed().as_nanos() as u64;
-                metrics.record(status, bytes, ns);
-                state.log_access(
-                    &method,
-                    &shape,
-                    status,
-                    ns,
-                    bytes,
-                    crate::state::cache_outcome(),
-                    Some(&trace_hex),
-                );
-                if let Some(rec) = recorder {
-                    // Sole owner now that the thread-local clone is
-                    // dropped; offer the finished tree for tail capture.
-                    if let Ok(rec) = Arc::try_unwrap(rec) {
-                        state.spans().offer(rec, &method, &shape, status, bytes, ns);
-                    }
-                }
-            }
-            Err(_) => return,
-        }
-        if !keep_alive || state.shutdown_requested() {
+        handler.writing(&mut exchange);
+        let Ok(bytes) = write_response_traced(&mut writer, &resp, keep_alive, Some(&trace_id))
+        else {
+            return;
+        };
+        let ns = started.elapsed().as_nanos() as u64;
+        handler.finish(
+            exchange,
+            parsed.as_ref().ok(),
+            resp.status,
+            bytes,
+            ns,
+            &trace_id,
+        );
+        handler.record(resp.status, bytes, ns);
+        if !keep_alive || handler.shutdown_requested() {
             return;
         }
     }

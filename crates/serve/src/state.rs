@@ -31,15 +31,17 @@ use bikron_core::truth::squares_vertex::{global_squares_with, vertex_squares_at}
 use bikron_core::truth::FactorStats;
 use bikron_core::{predict_structure, KronChain, KroneckerProduct, SelfLoopMode};
 use bikron_graph::{bipartition, Graph};
+use bikron_obs::profile::ProfileGuard;
 use bikron_obs::span::DEFAULT_TRACE_CAPACITY;
 use bikron_obs::window::{WindowedCounter, WindowedHistogram};
 use bikron_obs::{
     Counter, EventLogger, Gauge, Histogram, JsonWriter, LogEvent, SpanRecorder, SpanSink,
-    SpanToken, WindowRegistry, WindowSnapshot,
+    SpanToken, TraceContext, WindowRegistry, WindowSnapshot,
 };
 
 use crate::cache::{CacheKey, ShardedCache};
 use crate::http::{Request, Response};
+use crate::pool::Handler;
 
 /// Default page size for `/v1/neighbors` and `/v1/edges`.
 pub const DEFAULT_LIMIT: usize = 100;
@@ -225,22 +227,6 @@ impl ServeMetrics {
     pub fn latency_window(&self) -> WindowSnapshot {
         self.request_ns.snapshot()
     }
-
-    /// Record a connection shed with 503 at the accept gate.
-    pub fn record_shed(&self, bytes: u64) {
-        self.shed.inc();
-        self.record(503, bytes, 0);
-    }
-
-    /// Count an accepted connection.
-    pub fn connection_opened(&self) {
-        self.connections.inc();
-    }
-
-    /// The in-flight request gauge (peak = observed concurrency).
-    pub fn inflight(&self) -> &Gauge {
-        &self.inflight
-    }
 }
 
 /// Which ground-truth evaluator backs the router: the classic two-factor
@@ -315,23 +301,23 @@ std::thread_local! {
     /// The span recorder (and its `evaluate` span token — the parent for
     /// router-level child spans) of the request currently being handled
     /// on this worker thread. Same propagation idiom as `CACHE_OUTCOME`:
-    /// the pool installs it around `handle()`, [`ServeState::cached`]
-    /// and the batch evaluator read it, and direct `handle()` calls in
-    /// tests see `None` (untraced). Only set when the server's
-    /// [`SpanSink`] is enabled.
+    /// the [`Handler`] impl installs it around `handle()`,
+    /// [`ServeState::cached`] and the batch evaluator read it, and direct
+    /// `handle()` calls in tests see `None` (untraced). Only set when the
+    /// server's [`SpanSink`] is enabled.
     static CURRENT_RECORDER: RefCell<Option<(Arc<SpanRecorder>, SpanToken)>> =
         const { RefCell::new(None) };
 }
 
 /// Install the current request's recorder for this worker thread.
-pub(crate) fn set_current_recorder(recorder: Arc<SpanRecorder>, evaluate: SpanToken) {
+fn set_current_recorder(recorder: Arc<SpanRecorder>, evaluate: SpanToken) {
     CURRENT_RECORDER.with(|r| *r.borrow_mut() = Some((recorder, evaluate)));
 }
 
-/// Remove and return the current recorder (pool, after `handle()` —
-/// clearing it before the sink consumes the recorder also drops this
-/// thread's `Arc` so the pool's `try_unwrap` succeeds).
-pub(crate) fn take_current_recorder() -> Option<(Arc<SpanRecorder>, SpanToken)> {
+/// Remove and return the current recorder (after `handle()` — clearing
+/// it before the sink consumes the recorder also drops this thread's
+/// `Arc` so [`ServeExchange`]'s `try_unwrap` succeeds).
+fn take_current_recorder() -> Option<(Arc<SpanRecorder>, SpanToken)> {
     CURRENT_RECORDER.with(|r| r.borrow_mut().take())
 }
 
@@ -369,6 +355,139 @@ pub fn path_shape(path: &str) -> String {
         out.push('/');
     }
     out
+}
+
+/// One request's diagnostics on a serve worker: the open profile frame
+/// (`accept` during the read, then `write`) and, when the span sink is
+/// enabled, the request's span recorder.
+#[derive(Default)]
+pub struct ServeExchange {
+    /// When the worker began reading the request; the recorder's clock
+    /// starts here so the `accept` span covers the socket read.
+    io_started: Option<Instant>,
+    frame: Option<ProfileGuard>,
+    recorder: Option<Arc<SpanRecorder>>,
+    write: Option<SpanToken>,
+}
+
+impl Handler for ServeState {
+    const ROLE: &'static str = "serve";
+    type Exchange = ServeExchange;
+
+    /// Route through [`ServeState::handle`] inside an `evaluate` span and
+    /// profile frame. The recorder is installed thread-locally for the
+    /// call so cache, serialise and batch-item spans hang off
+    /// `evaluate`.
+    fn handle(&self, req: &Request, _ctx: &TraceContext, ex: &mut ServeExchange) -> Response {
+        let evaluate = ex.recorder.as_ref().and_then(|rec| {
+            let tok = rec.begin("evaluate", None)?;
+            set_current_recorder(Arc::clone(rec), tok);
+            Some(tok)
+        });
+        let frame = bikron_obs::profile::phase("evaluate");
+        let resp = ServeState::handle(self, req);
+        drop(frame);
+        take_current_recorder();
+        if let Some(rec) = &ex.recorder {
+            rec.end(evaluate);
+        }
+        resp
+    }
+
+    fn shutdown_requested(&self) -> bool {
+        ServeState::shutdown_requested(self)
+    }
+
+    fn connection_opened(&self) {
+        self.metrics.connections.inc();
+    }
+
+    fn inflight(&self) -> &Gauge {
+        &self.metrics.inflight
+    }
+
+    fn record(&self, status: u16, bytes: u64, ns: u64) {
+        self.metrics.record(status, bytes, ns);
+    }
+
+    fn record_shed(&self, bytes: u64) {
+        self.metrics.shed.inc();
+        self.metrics.record(503, bytes, 0);
+    }
+
+    /// The profiler's `accept` frame covers the blocking read (and, on
+    /// keep-alive connections, idle time between requests — the sampler
+    /// attributes a quiet server to `accept`, which is true: the worker
+    /// really is parked in the socket read).
+    fn open(&self) -> ServeExchange {
+        ServeExchange {
+            io_started: Some(Instant::now()),
+            frame: Some(bikron_obs::profile::phase("accept")),
+            ..ServeExchange::default()
+        }
+    }
+
+    fn begin(&self, ex: &mut ServeExchange, ctx: &TraceContext, remote_parent: u64) {
+        ex.frame = None;
+        reset_cache_outcome();
+        if !self.spans.enabled() {
+            return;
+        }
+        let started = ex.io_started.unwrap_or_else(Instant::now);
+        let rec = SpanRecorder::with_start(*ctx, remote_parent, started);
+        // `accept` retroactively covers the socket read; `parse` is a
+        // zero-width marker (parsing happens inside the read).
+        let accept = rec.begin_at("accept", None, 0);
+        rec.end(accept);
+        let parse = rec.begin("parse", None);
+        rec.end(parse);
+        ex.recorder = Some(Arc::new(rec));
+    }
+
+    fn writing(&self, ex: &mut ServeExchange) {
+        ex.write = ex
+            .recorder
+            .as_ref()
+            .and_then(|rec| rec.begin("write", None));
+        ex.frame = Some(bikron_obs::profile::phase("write"));
+    }
+
+    /// One access-log event, and the finished span tree offered for tail
+    /// capture.
+    fn finish(
+        &self,
+        ex: ServeExchange,
+        req: Option<&Request>,
+        status: u16,
+        bytes: u64,
+        ns: u64,
+        trace_id: &str,
+    ) {
+        drop(ex.frame);
+        if let Some(rec) = &ex.recorder {
+            rec.end(ex.write);
+        }
+        if self.logger.is_none() && ex.recorder.is_none() {
+            return;
+        }
+        let (method, shape) = match req {
+            Some(req) => (req.method.as_str(), path_shape(&req.path)),
+            None => ("-", "malformed".to_string()),
+        };
+        self.log_access(
+            method,
+            &shape,
+            status,
+            ns,
+            bytes,
+            cache_outcome(),
+            Some(trace_id),
+        );
+        // Sole owner now that the thread-local clone is dropped.
+        if let Some(rec) = ex.recorder.and_then(|rec| Arc::try_unwrap(rec).ok()) {
+            self.spans.offer(rec, method, &shape, status, bytes, ns);
+        }
+    }
 }
 
 /// What a warm boot restored — surfaced in the startup banner and the
@@ -1831,9 +1950,10 @@ pub fn profile_response(req: &Request) -> Response {
             w.close_object();
             Response::json(200, w.finish())
         }
-        Some(other) => {
-            Response::error(400, &format!("unknown profile format {other:?} (json|folded)"))
-        }
+        Some(other) => Response::error(
+            400,
+            &format!("unknown profile format {other:?} (json|folded)"),
+        ),
     }
 }
 
@@ -2197,10 +2317,7 @@ mod tests {
     fn profile_endpoint_is_token_gated_and_samples_on_demand() {
         let st = state();
         assert_eq!(st.handle(&get("/v1/admin/profile")).status, 403);
-        assert_eq!(
-            st.handle(&get("/v1/admin/profile?token=wrong")).status,
-            403
-        );
+        assert_eq!(st.handle(&get("/v1/admin/profile?token=wrong")).status, 403);
         match bikron_obs::profile::start_sampler(500) {
             None => {
                 // No sampler could start (hz race with a concurrent

@@ -6,7 +6,8 @@
 //! unsharded `bikron serve` would have produced — same JSON spacing,
 //! same field order, same pagination framing. This suite stands up real
 //! TCP clusters (2 and 3 shards, each shard a `Server` with a
-//! `--shard`-style `ServeState`, fronted by a `RouterServer`) and
+//! `--shard`-style `ServeState`, fronted by a `Server` with a
+//! `RouterState`) and
 //! compares 100% of vertices, 100% of ordered pairs, every neighbors
 //! page, the partitioned edge stream, and scatter-gathered batch bodies
 //! against the in-process single-node answer.
@@ -16,15 +17,15 @@
 //! every other key keeps answering byte-identically, and `/v1/health`
 //! reports `degraded` naming exactly the dead shard.
 
-use std::io::{BufReader, Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{BufReader, ErrorKind};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
 use bikron_core::SelfLoopMode;
 use bikron_generators::{complete_bipartite, cycle};
-use bikron_router::{RouterConfig, RouterOptions, RouterServer, RouterState};
-use bikron_serve::http::parse_request;
+use bikron_router::{RouterOptions, RouterState};
+use bikron_serve::http::{self, parse_request};
 use bikron_serve::pool::{Server, ServerConfig};
 use bikron_serve::{ServeOptions, ServeState};
 
@@ -59,86 +60,49 @@ fn single_post(state: &ServeState, path: &str, body: &str) -> (u16, String) {
     (resp.status, resp.body)
 }
 
-/// Minimal keep-alive HTTP client. One connection serves the whole test
-/// run — both because that is how real clients talk to the router and
-/// because a fresh dial per request would pay the accept-loop poll
-/// interval thousands of times over.
+/// Keep-alive client over the shared [`http::Client`]. One connection
+/// serves the whole test run — both because that is how real clients
+/// talk to the router and because a fresh dial per request would pay
+/// the accept-loop poll interval thousands of times over.
 struct Client {
     addr: SocketAddr,
-    reader: std::io::BufReader<TcpStream>,
-    writer: TcpStream,
+    http: http::Client,
 }
 
 impl Client {
     fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).expect("nodelay");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
+        let timeout = Duration::from_secs(20);
         Client {
             addr,
-            reader: std::io::BufReader::new(stream.try_clone().expect("clone")),
-            writer: stream,
+            http: http::Client::connect(&addr.to_string(), timeout, timeout).expect("connect"),
         }
     }
 
-    /// Send one request and read the Content-Length-framed response:
-    /// `(status, head, body)`. Reconnects if the server closed the
-    /// previous exchange.
-    fn request(&mut self, method: &str, path: &str, body: &str) -> (u16, String, String) {
-        use std::io::BufRead as _;
-        let extra = if body.is_empty() {
-            String::new()
-        } else {
-            format!("Content-Length: {}\r\n", body.len())
-        };
-        write!(
-            self.writer,
-            "{method} {path} HTTP/1.1\r\nHost: t\r\n{extra}\r\n{body}"
-        )
-        .expect("send");
-        let mut head = String::new();
-        loop {
-            let mut line = String::new();
-            let n = self.reader.read_line(&mut line).expect("read header");
-            if n == 0 && head.is_empty() {
-                // Server closed the idle connection; redial and retry.
+    /// Send one request: `(status, lower-cased headers, body)`.
+    /// Reconnects if the server closed the previous exchange.
+    fn request(&mut self, method: &str, path: &str, body: &str) -> (u16, Headers, String) {
+        let body = (!body.is_empty()).then_some(body);
+        let resp = match self.http.request(method, path, &[], body) {
+            Ok(resp) => resp,
+            // Server closed the idle connection; redial and retry.
+            Err(e) if e.kind() == ErrorKind::UnexpectedEof => {
                 *self = Client::connect(self.addr);
-                return self.request(method, path, body);
+                self.http.request(method, path, &[], body).expect("request")
             }
-            assert!(n > 0, "connection closed mid-response:\n{head}");
-            if line == "\r\n" {
-                break;
-            }
-            head.push_str(&line);
-        }
-        let status: u16 = head
-            .lines()
-            .next()
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|s| s.parse().ok())
-            .expect("status line");
-        let len: usize = head
-            .lines()
-            .find_map(|l| l.strip_prefix("Content-Length: "))
-            .expect("Content-Length")
-            .trim()
-            .parse()
-            .expect("length");
-        let mut buf = vec![0u8; len];
-        self.reader.read_exact(&mut buf).expect("read body");
-        let closing = head.lines().any(|l| l == "Connection: close");
-        if closing {
+            Err(e) => panic!("{method} {path}: {e}"),
+        };
+        if resp.wants_close() {
             *self = Client::connect(self.addr);
         }
-        (status, head, String::from_utf8(buf).expect("utf-8 body"))
+        (resp.status, resp.headers, resp.body)
     }
 
-    fn get(&mut self, path: &str) -> (u16, String, String) {
+    fn get(&mut self, path: &str) -> (u16, Headers, String) {
         self.request("GET", path, "")
     }
 }
+
+type Headers = Vec<(String, String)>;
 
 /// One running cluster: `count` sharded serves plus the router, each on
 /// its own thread, all bound to ephemeral loopback ports.
@@ -194,11 +158,11 @@ impl Cluster {
             )
             .unwrap(),
         );
-        let router = RouterServer::bind(
-            RouterConfig {
+        let router = Server::bind(
+            ServerConfig {
                 addr: "127.0.0.1:0".to_string(),
                 threads: 4,
-                ..RouterConfig::default()
+                ..ServerConfig::default()
             },
             Arc::clone(&router_state),
         )
@@ -353,7 +317,10 @@ fn killing_one_shard_scopes_failures_to_its_key_range() {
             body.contains("vertices 9..18 are temporarily unserved"),
             "{body}"
         );
-        assert!(head.contains("Retry-After: 1"), "{head}");
+        assert!(
+            head.contains(&("retry-after".to_string(), "1".to_string())),
+            "{head:?}"
+        );
     }
     for p in (0..9).chain(18..25) {
         assert_same(&single, &mut client, &format!("/v1/vertex/{p}"));

@@ -13,60 +13,27 @@
 //!    it from a log when no snapshot exists.)
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use bikron_cli::replay::{parse_access_log, ReplayConfig};
 use bikron_core::SelfLoopMode;
 use bikron_generators::{complete_bipartite, cycle};
+use bikron_serve::http;
 use bikron_serve::{ServeOptions, ServeState, Server, ServerConfig};
 
-/// Minimal keep-alive HTTP client (same shape as the serve test suite's).
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
+/// The shared keep-alive client, answering `(status, body)`.
+struct Client(http::Client);
 
 impl Client {
     fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let writer = stream.try_clone().unwrap();
-        Client {
-            reader: BufReader::new(stream),
-            writer,
-        }
+        let timeout = Duration::from_secs(10);
+        Client(http::Client::connect(&addr.to_string(), timeout, timeout).expect("connect"))
     }
 
     fn get(&mut self, path: &str) -> (u16, String) {
-        write!(self.writer, "GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").expect("write request");
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("status line");
-        let status: u16 = line
-            .split_whitespace()
-            .nth(1)
-            .expect("status code")
-            .parse()
-            .expect("numeric status");
-        let mut content_length = 0usize;
-        loop {
-            let mut h = String::new();
-            self.reader.read_line(&mut h).expect("header line");
-            let h = h.trim_end();
-            if h.is_empty() {
-                break;
-            }
-            if let Some(v) = h.to_ascii_lowercase().strip_prefix("content-length:") {
-                content_length = v.trim().parse().expect("content-length value");
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body).expect("body");
-        (status, String::from_utf8(body).expect("utf-8 body"))
+        let resp = self.0.get(path).expect("request");
+        (resp.status, resp.body)
     }
 }
 
