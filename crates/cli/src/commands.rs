@@ -26,14 +26,15 @@ pub struct SnapshotOptions {
     pub lenient: bool,
 }
 
-/// Read and validate a snapshot file against the requested spec.
+/// Read `--snapshot-in` and validate it against the requested spec:
+/// `None` when no snapshot was asked for.
 fn load_snapshot(
-    path: &str,
+    snapshot: &SnapshotOptions,
     validate: impl FnOnce(&Snapshot) -> Result<(), SnapshotError>,
-) -> Result<Snapshot, SnapshotError> {
-    let snap = Snapshot::read_from(path)?;
-    validate(&snap)?;
-    Ok(snap)
+) -> Option<(&str, Result<Snapshot, SnapshotError>)> {
+    let path = snapshot.snapshot_in.as_deref()?;
+    let snap = Snapshot::read_from(path).and_then(|snap| validate(&snap).map(|()| snap));
+    Some((path, snap))
 }
 
 /// Announce a warm boot before the listening banner, so operators (and
@@ -278,46 +279,9 @@ pub fn serve(
     snapshot: SnapshotOptions,
     out: &mut dyn Write,
 ) -> CmdResult {
-    let cache_entries = options.cache_entries;
-    let state = match &snapshot.snapshot_in {
-        Some(path) => match load_snapshot(path, |s| s.validate_pair(&a, &b, mode)) {
-            Ok(snap) => {
-                let (st, info) = ServeState::build_from_snapshot(snap, options)?;
-                warm_banner(out, path, st.expr(), &info)?;
-                std::sync::Arc::new(st)
-            }
-            Err(e) if snapshot.lenient => {
-                writeln!(
-                    out,
-                    "snapshot {path} rejected ({e}); booting cold (--snapshot-lenient)"
-                )?;
-                std::sync::Arc::new(ServeState::build_with(a, b, mode, options)?)
-            }
-            Err(e) => return Err(format!("--snapshot-in {path}: {e}").into()),
-        },
-        None => std::sync::Arc::new(ServeState::build_with(a, b, mode, options)?),
-    };
-    bikron_serve::signal::install();
-    let server = Server::bind(config.clone(), std::sync::Arc::clone(&state))?;
-    writeln!(
-        out,
-        "listening on http://{} ({} worker(s), queue {}, cache {}, batch ≤ {}{}) — stop with ctrl-c",
-        server.local_addr()?,
-        config.threads.max(1),
-        config.queue_capacity.max(1),
-        if cache_entries > 0 {
-            format!("{cache_entries} entries")
-        } else {
-            "off".to_string()
-        },
-        state.batch_max(),
-        shard_banner(&state),
-    )?;
-    out.flush()?;
-    server.run()?;
-    write_snapshot_on_shutdown(&snapshot, &state, out)?;
-    writeln!(out, "shutdown complete")?;
-    Ok(())
+    let warm = load_snapshot(&snapshot, |s| s.validate_pair(&a, &b, mode));
+    let cold = |options| ServeState::build_with(a, b, mode, options);
+    serve_state(warm, cold, config, options, &snapshot, out)
 }
 
 /// `bikron serve --expr EXPR NAME=SPEC...` — run the query service over
@@ -339,44 +303,49 @@ pub fn serve_expr(
         .iter()
         .map(|l| (l.name.clone(), l.plus_identity))
         .collect();
-    // The canonical spelling a snapshot must match; KronChain builds the
-    // same string, but validation has to happen *before* the expensive
-    // cold construction.
-    let canonical = levels
-        .iter()
-        .map(|(name, pi)| {
-            if *pi {
-                format!("({name}+I)")
-            } else {
-                name.clone()
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("⊗");
+    // A snapshot is validated against the canonical spelling *before*
+    // the expensive cold construction.
+    let canonical = bikron_core::canonical_expr(&levels);
+    let warm = load_snapshot(&snapshot, |s| s.validate_expr(&canonical, &bindings));
+    let cold = |options| ServeState::build_expr(bindings, &levels, options);
+    serve_state(warm, cold, config, options, &snapshot, out)
+}
+
+/// The one path behind both `bikron serve` spellings: boot warm from the
+/// validated snapshot (or, under `--snapshot-lenient`, fall back to
+/// `cold`), bind, print the banner, run until stopped, and write the
+/// shutdown snapshot.
+fn serve_state(
+    warm: Option<(&str, Result<Snapshot, SnapshotError>)>,
+    cold: impl FnOnce(ServeOptions) -> Result<ServeState, Box<dyn std::error::Error>>,
+    config: ServerConfig,
+    options: ServeOptions,
+    snapshot: &SnapshotOptions,
+    out: &mut dyn Write,
+) -> CmdResult {
     let cache_entries = options.cache_entries;
-    let state = match &snapshot.snapshot_in {
-        Some(path) => match load_snapshot(path, |s| s.validate_expr(&canonical, &bindings)) {
-            Ok(snap) => {
-                let (st, info) = ServeState::build_from_snapshot(snap, options)?;
-                warm_banner(out, path, st.expr(), &info)?;
-                std::sync::Arc::new(st)
-            }
-            Err(e) if snapshot.lenient => {
-                writeln!(
-                    out,
-                    "snapshot {path} rejected ({e}); booting cold (--snapshot-lenient)"
-                )?;
-                std::sync::Arc::new(ServeState::build_expr(bindings, &levels, options)?)
-            }
-            Err(e) => return Err(format!("--snapshot-in {path}: {e}").into()),
-        },
-        None => std::sync::Arc::new(ServeState::build_expr(bindings, &levels, options)?),
+    let state = match warm {
+        Some((path, Ok(snap))) => {
+            let (st, info) = ServeState::build_from_snapshot(snap, options)?;
+            warm_banner(out, path, st.expr(), &info)?;
+            st
+        }
+        Some((path, Err(e))) if snapshot.lenient => {
+            writeln!(
+                out,
+                "snapshot {path} rejected ({e}); booting cold (--snapshot-lenient)"
+            )?;
+            cold(options)?
+        }
+        Some((path, Err(e))) => return Err(format!("--snapshot-in {path}: {e}").into()),
+        None => cold(options)?,
     };
+    let state = std::sync::Arc::new(state);
     bikron_serve::signal::install();
     let server = Server::bind(config.clone(), std::sync::Arc::clone(&state))?;
     writeln!(
         out,
-        "serving {} on http://{} ({} worker(s), queue {}, cache {}, batch ≤ {}{}) — stop with ctrl-c",
+        "serving {} — listening on http://{} ({} worker(s), queue {}, cache {}, batch ≤ {}{}) — stop with ctrl-c",
         state.expr(),
         server.local_addr()?,
         config.threads.max(1),
@@ -391,7 +360,7 @@ pub fn serve_expr(
     )?;
     out.flush()?;
     server.run()?;
-    write_snapshot_on_shutdown(&snapshot, &state, out)?;
+    write_snapshot_on_shutdown(snapshot, &state, out)?;
     writeln!(out, "shutdown complete")?;
     Ok(())
 }

@@ -108,10 +108,12 @@ SERVE:
   program instead of a single pair: EXPR is a chain of named factors
   joined by `⊗` (or `kron`/`*`), with `(NAME+I)` lifting one level by
   the identity and `NAME^{⊗k}` abbreviating a k-fold tower. Every name
-  in EXPR must be bound by a NAME=SPEC argument. Expression servers add
-  /v1/clustering/{p}/{q} (Thm 6), /v1/community?s0=..&s1=.. (Thm 7) and
-  /v1/scatter/degree-squares, and report the canonicalised expression
-  in /v1/stats. Example:
+  in EXPR must be bound by a NAME=SPEC argument. The positional form
+  A B MODE is the two-level program A⊗B / (A+I)⊗B on the same
+  evaluator. Expression servers take /v1/community?s0=..&s1=.. (one set
+  per level) instead of ?a=..&b=.., report per-level coords instead of
+  alpha/beta, and answer 501 on /v1/edges. Both print the canonicalised
+  expression in the banner and in /v1/stats. Example:
     bikron serve --expr \"(A+I)⊗B⊗C\" A=cycle:5 B=kmn:2x3 C=crown:3
 
 ROUTER:

@@ -27,6 +27,8 @@
 use std::io::Write;
 use std::time::{Duration, Instant};
 
+use bikron_obs::json::{field_str, field_u64, field_u64_last};
+
 use crate::monitor::{connect, http_get, parse_host_port};
 
 /// Parsed `bikron replay` invocation.
@@ -159,10 +161,10 @@ pub fn parse_access_log(text: &str) -> (Vec<AccessLine>, u64) {
         if raw.is_empty() {
             continue;
         }
-        let is_access = json_str_field(raw, "target") == Some("access");
-        let method = json_str_field(raw, "method");
-        let path = json_str_field(raw, "path");
-        let ts_ms = json_u64_field(raw, "ts_ms");
+        let is_access = field_str(raw, "target") == Some("access");
+        let method = field_str(raw, "method");
+        let path = field_str(raw, "path");
+        let ts_ms = field_u64(raw, "ts_ms");
         match (is_access, method, path, ts_ms) {
             (true, Some("GET"), Some(p), Some(ts))
                 if !p.starts_with("/v1/shutdown") && !p.starts_with("/v1/admin") =>
@@ -176,26 +178,6 @@ pub fn parse_access_log(text: &str) -> (Vec<AccessLine>, u64) {
         }
     }
     (lines, skipped)
-}
-
-/// Extract a string field from one flat JSON log line
-/// (`"key": "value"` with the exact spacing `LogEvent` emits).
-fn json_str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\": \"");
-    let start = line.find(&needle)? + needle.len();
-    let end = line[start..].find('"')? + start;
-    Some(&line[start..end])
-}
-
-/// Extract a numeric field from one flat JSON log line.
-fn json_u64_field(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let start = line.find(&needle)? + needle.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
 }
 
 /// xorshift64* — deterministic `{n}` sampling, seeded per run.
@@ -335,13 +317,14 @@ pub fn run(cfg: &ReplayConfig, out: &mut dyn Write) -> Result<bool, Box<dyn std:
         return Ok(true);
     }
 
-    // The target's vertex count bounds the `{n}` samples.
+    // The target's product vertex count bounds the `{n}` samples: the
+    // last "vertices" field (the factor sections list theirs first).
     let (status, stats) = http_get(&cfg.host, cfg.port, "/v1/stats")
         .map_err(|e| format!("replay: GET /v1/stats: {e}"))?;
     if status != 200 {
         return Err(format!("replay: GET /v1/stats returned {status}").into());
     }
-    let n = json_u64_field(&stats, "vertices")
+    let n = field_u64_last(&stats, "vertices")
         .ok_or("replay: /v1/stats did not report a vertex count")?;
 
     let mut rng = Rng(cfg.seed);

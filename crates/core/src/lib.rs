@@ -57,7 +57,7 @@ pub mod snap;
 pub mod stream;
 pub mod truth;
 
-pub use chain::{ChainClustering, ChainCommunity, ChainError, KronChain};
+pub use chain::{canonical_expr, ChainClustering, ChainCommunity, ChainError, KronChain};
 pub use connectivity::{predict_structure, ProductStructure};
 pub use index::KronIndexer;
 pub use power::KroneckerPower;

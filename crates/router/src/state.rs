@@ -5,6 +5,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bikron_obs::json::{field_str, field_u64_last};
 use bikron_obs::window::{WindowRegistry, WindowedCounter, WindowedHistogram};
 use bikron_obs::{Counter, Gauge, Histogram, JsonWriter, Registry, Report, TraceContext};
 use bikron_serve::batch::{join_batch_items, parse_batch, split_batch_items, BatchQuery};
@@ -242,7 +243,7 @@ impl RouterState {
                     }
                 }
             };
-            let claimed = json_string_field(&health.body, "shard").ok_or_else(|| {
+            let claimed = field_str(&health.body, "shard").ok_or_else(|| {
                 format!(
                     "shard {index} ({}) does not report a shard identity — \
                      is it running with --shard {index}/{count}?",
@@ -272,7 +273,7 @@ impl RouterState {
         }
         // The *product* vertex count is the last "vertices" field in the
         // stats body (the factor sections list theirs first).
-        let num_vertices = json_u64_field_last(&stats_json, "vertices")
+        let num_vertices = field_u64_last(&stats_json, "vertices")
             .ok_or("shard /v1/stats body has no \"vertices\" field")?
             as usize;
         if num_vertices == 0 {
@@ -570,7 +571,7 @@ impl RouterState {
                 .map(|shard| {
                     scope.spawn(move || {
                         match shard.request("GET", "/v1/health", None, traceparent) {
-                            Ok(up) => match json_string_field(&up.body, "status").as_deref() {
+                            Ok(up) => match field_str(&up.body, "status") {
                                 Some("ok") => ShardHealth::Ok,
                                 _ => ShardHealth::Degraded,
                             },
@@ -639,7 +640,7 @@ impl RouterState {
                             _ => None,
                         };
                         let health = match shard.request("GET", "/v1/health", None, traceparent) {
-                            Ok(up) => match json_string_field(&up.body, "status").as_deref() {
+                            Ok(up) => match field_str(&up.body, "status") {
                                 Some("ok") => ShardHealth::Ok,
                                 _ => ShardHealth::Degraded,
                             },
@@ -798,28 +799,6 @@ fn static_content_type(ct: &str) -> &'static str {
     }
 }
 
-/// First `"key": "value"` string field in a flat JSON body. Good enough
-/// for the handshake and health probes: both bodies are emitted by our
-/// own `JsonWriter` with this exact spacing.
-pub(crate) fn json_string_field(body: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\": \"");
-    let start = body.find(&needle)? + needle.len();
-    let end = body[start..].find('"')?;
-    Some(body[start..start + end].to_string())
-}
-
-/// Last `"key": N` integer field in a JSON body (the product section of
-/// a stats body repeats factor field names, product values last).
-pub(crate) fn json_u64_field_last(body: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let start = body.rfind(&needle)? + needle.len();
-    let digits: String = body[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -837,17 +816,6 @@ mod tests {
         assert!(parse_shard_url("http://h:1/path").is_err());
         assert!(parse_shard_url("h:notaport").is_err());
         assert!(parse_shard_url("").is_err());
-    }
-
-    #[test]
-    fn json_field_extraction() {
-        let body = "{\n  \"status\": \"ok\",\n  \"shard\": \"1/3\",\n  \"vertices\": 25\n}\n";
-        assert_eq!(json_string_field(body, "status").as_deref(), Some("ok"));
-        assert_eq!(json_string_field(body, "shard").as_deref(), Some("1/3"));
-        assert_eq!(json_string_field(body, "missing"), None);
-        assert_eq!(json_u64_field_last(body, "vertices"), Some(25));
-        let stats = "{\"a\": {\"vertices\": 5}, \"vertices\": 125}";
-        assert_eq!(json_u64_field_last(stats, "vertices"), Some(125));
     }
 
     #[test]

@@ -6,23 +6,24 @@
 //! [`FactorStats`](bikron_core::truth::FactorStats). This crate turns
 //! that into a service — `bikron serve` holds O(Σ n_i + Σ m_i) memory
 //! and answers queries about the (potentially enormous,
-//! never-materialised) product. Two backends share one router: the
-//! classic pair server (`A B MODE` positional factors) and the
-//! **expression server** (`--expr "(A+I)⊗B⊗C"`, an arbitrary
-//! [`KronChain`](bikron_core::KronChain) program with compositional
-//! ground truth):
+//! never-materialised) product. Every count is evaluated by one
+//! [`KronChain`](bikron_core::KronChain) with compositional ground
+//! truth: the **expression server** (`--expr "(A+I)⊗B⊗C"`) serves any
+//! program, and the classic **pair server** (`A B MODE` positional
+//! factors) is the two-level chain `A⊗B` / `(A+I)⊗B`, rendered with the
+//! two-factor surface where the table says so:
 //!
 //! | endpoint | cost | answer |
 //! |---|---|---|
-//! | `GET /v1/vertex/{p}` | O(k) | degree + butterfly count at `p` (Thm 3/4) |
+//! | `GET /v1/vertex/{p}` | O(k) | degree + butterfly count at `p` (Thm 3/4); `alpha`/`beta` on pair servers, per-level `coords` otherwise |
 //! | `GET /v1/edge/{p}/{q}` | O(k log d) | existence + per-edge squares (Thm 5) |
 //! | `GET /v1/neighbors/{p}` | O(Σ d_i + limit) | paged adjacency |
 //! | `GET /v1/clustering/{p}/{q}` | O(k log d) | exact `Γ_C` + Thm 6 scaling-law bound |
-//! | `GET /v1/community?a=…&b=…` | O(Σ\|S_i\| + Σ deg) | exact `m_in`/`m_out` (Thm 7) + Cor 1–2 density bounds |
+//! | `GET /v1/community?a=…&b=…` | O(Σ\|S_i\| + Σ deg) | exact `m_in`/`m_out` (Thm 7); pair servers add the Cor 1–2 density bounds, expression servers take `?s0=…&s{k-1}=…` |
 //! | `GET /v1/scatter/degree-squares` | O(limit) | Fig-5-style `(vertex, degree, squares)` rows, JSON or CSV |
 //! | `POST /v1/batch` | Σ per-item cost | up to `batch_max` of vertex/edge/neighbors, one JSON array |
-//! | `GET /v1/stats` | O(1), cached | Table-I summary + canonicalised `expr` |
-//! | `GET /v1/edges/{part}/{parts}` | O(factor + limit) | resumable edge stream (pair servers; 501 on expression servers) |
+//! | `GET /v1/stats` | O(1), cached | canonicalised `expr` + product counts; the Table-I structure summary on pair servers, per-level sizes otherwise |
+//! | `GET /v1/edges/{part}/{parts}` | O(factor + limit) | resumable edge stream, annotated from the chain (pair servers; 501 on expression servers) |
 //! | `GET /metrics` | O(metrics) | live `bikron-obs/4` report (`?format=prometheus` for text exposition) |
 //! | `GET /v1/health` | O(1) | `ok`/`degraded` from windowed SLO signals |
 //! | `GET /v1/shutdown` | O(1) | graceful stop (token-gated) |
@@ -33,7 +34,7 @@
 //! (`k` = number of chain levels; 2 for pair servers. FORMULAS.md maps
 //! each endpoint to its theorem and evaluator function.)
 //!
-//! A sharded, bounded LRU result cache ([`cache`]) fronts the Thm 3/4/5
+//! A sharded, bounded LRU result cache ([`cache`]) fronts the chain
 //! evaluators; because every answer is a pure function of the immutable
 //! factors, cached bodies can never go stale and no invalidation exists.
 //!
@@ -73,7 +74,7 @@ pub mod state;
 
 pub use cache::{CacheKey, ShardedCache};
 pub use pool::{Handler, Server, ServerConfig};
-pub use snapshot::{Snapshot, SnapshotBackend, SnapshotError};
+pub use snapshot::{Snapshot, SnapshotError};
 pub use state::{
     profile_response, ServeOptions, ServeState, WarmInfo, DEFAULT_BATCH_MAX, DEFAULT_CACHE_ENTRIES,
     DEFAULT_CACHE_SHARDS, DEFAULT_LIMIT, MAX_LIMIT, MAX_PROFILE_SECONDS,

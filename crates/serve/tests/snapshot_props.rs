@@ -22,7 +22,7 @@ use std::sync::Arc;
 use bikron_core::SelfLoopMode;
 use bikron_graph::Graph;
 use bikron_serve::snapshot::Snapshot;
-use bikron_serve::{CacheKey, ServeOptions, ServeState, SnapshotBackend};
+use bikron_serve::{CacheKey, ServeOptions, ServeState};
 use proptest::prelude::*;
 
 /// Parse one GET into the router's request type.
@@ -115,11 +115,14 @@ proptest! {
             prop_assert_eq!(k1, k2);
             prop_assert_eq!(b1.as_str(), b2.as_str());
         }
-        match (&decoded.backend, &snap.backend) {
+        match (&decoded, &snap) {
             (
-                SnapshotBackend::Pair { a: da, b: db, mode: dm, stats_a: dsa, stats_b: dsb },
-                SnapshotBackend::Pair { a: sa, b: sb, mode: sm, stats_a: ssa, stats_b: ssb },
+                Snapshot { pair: true, bindings: dbind, levels: dl, .. },
+                Snapshot { pair: true, bindings: sbind, levels: sl, .. },
             ) => {
+                let ([(_, da, dsa), (_, db, dsb)], [(_, sa, ssa), (_, sb, ssb)]) =
+                    (&dbind[..], &sbind[..]) else { panic!("pair snapshots bind A and B") };
+                let (dm, sm) = (dl[0].1, sl[0].1);
                 prop_assert_eq!(da, sa);
                 prop_assert_eq!(db, sb);
                 prop_assert_eq!(dm, sm);
@@ -205,15 +208,19 @@ fn chain_snapshot_round_trips_and_boots_identically() {
     let bytes = snap.encode();
     let decoded = Snapshot::decode(&bytes).expect("decode");
     assert_eq!(decoded.expr, snap.expr);
-    match (&decoded.backend, &snap.backend) {
+    match (&decoded, &snap) {
         (
-            SnapshotBackend::Chain {
+            Snapshot {
+                pair: false,
                 bindings: db,
                 levels: dl,
+                ..
             },
-            SnapshotBackend::Chain {
+            Snapshot {
+                pair: false,
                 bindings: sb,
                 levels: sl,
+                ..
             },
         ) => {
             assert_eq!(dl, sl);
