@@ -20,7 +20,7 @@ use bikron_cli::replay::{parse_access_log, ReplayConfig};
 use bikron_core::SelfLoopMode;
 use bikron_generators::{complete_bipartite, cycle};
 use bikron_serve::http;
-use bikron_serve::{ServeOptions, ServeState, Server, ServerConfig};
+use bikron_serve::{CacheKey, ServeOptions, ServeState, Server, ServerConfig};
 
 /// The shared keep-alive client, answering `(status, body)`.
 struct Client(http::Client);
@@ -178,10 +178,23 @@ fn replay_reissues_the_recorded_multiset_and_warms_the_cache() {
     replayed.retain(|_, c| *c > 0);
     assert_eq!(replayed, expected, "replayed multiset diverged from log");
 
+    let warm_cache = warm_state.cache().expect("cache enabled");
+    // `{n}` samples span the whole product, not just factor A's |V(A)| = 5
+    // vertices (the first "vertices" field in `/v1/stats`).
+    let sampled: Vec<usize> = warm_cache
+        .hottest(usize::MAX)
+        .into_iter()
+        .filter_map(|(key, _)| match key {
+            CacheKey::Vertex(p) => Some(p),
+            _ => None,
+        })
+        .collect();
+    assert!(sampled.iter().all(|&p| p < n), "{sampled:?}");
+    assert!(sampled.iter().any(|&p| p >= 5), "{sampled:?}");
+
     // ---- Cache warming: same subsequent workload (same log, same seed)
     // against the already-replayed server vs a cold one.
     let (cold_addr, cold_state) = start(None);
-    let warm_cache = warm_state.cache().expect("cache enabled");
     let cold_cache = cold_state.cache().expect("cache enabled");
     let (h0, m0) = (warm_cache.local_hits(), warm_cache.local_misses());
 
