@@ -47,8 +47,8 @@ use std::time::{Duration, Instant};
 
 use bikron_analytics::{butterflies_per_edge, butterflies_per_vertex, EdgeButterflies};
 use bikron_bench::serve_load::{
-    field_str, field_u64, field_u64_last, slow_trace_lines, split_json_array, track_slow,
-    LoadgenSummary, Zipf,
+    field_f64, field_str, field_u64, field_u64_last, slow_trace_lines, split_json_array,
+    track_slow, LoadgenSummary, Zipf,
 };
 use bikron_cli::{parse_factor, parse_mode};
 use bikron_core::truth::squares_edge::edge_squares_at;
@@ -308,6 +308,19 @@ fn expected_vertex_body(truth: &Truth, prod: &KroneckerProduct<'_>, p: usize) ->
     )
 }
 
+/// The `"neighbors": [...]` array of a neighbors body (empty if absent).
+fn neighbors_in(body: &str) -> Vec<usize> {
+    let Some(tail) = body.split("\"neighbors\": [").nth(1) else {
+        return Vec::new();
+    };
+    let inside = tail.split(']').next().unwrap_or("");
+    inside
+        .split(',')
+        .map(str::trim)
+        .filter_map(|s| s.parse().ok())
+        .collect()
+}
+
 /// Verify one neighbors body (single endpoint or batch item) against the
 /// local enumeration.
 fn neighbors_body_ok(
@@ -318,21 +331,7 @@ fn neighbors_body_ok(
     limit: usize,
 ) -> bool {
     let expect = prod.neighbors_page(p, offset, limit);
-    let got: Vec<usize> = body
-        .split("\"neighbors\": [")
-        .nth(1)
-        .map(|tail| {
-            tail.split(']')
-                .next()
-                .unwrap_or("")
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .filter_map(|s| s.parse().ok())
-                .collect()
-        })
-        .unwrap_or_default();
-    got == expect
+    neighbors_in(body) == expect
         && field_u64(body, "degree") == Some(prod.degree(p))
         && field_u64(body, "count") == Some(expect.len() as u64)
 }
@@ -645,33 +644,9 @@ fn chain_neighbors_ok(t: &ExprTruth, body: &str, p: usize, offset: u64, limit: u
     let start = (offset as usize).min(all.len());
     let end = all.len().min(start + limit);
     let expect = &all[start..end];
-    let got: Vec<usize> = body
-        .split("\"neighbors\": [")
-        .nth(1)
-        .map(|tail| {
-            tail.split(']')
-                .next()
-                .unwrap_or("")
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .filter_map(|s| s.parse().ok())
-                .collect()
-        })
-        .unwrap_or_default();
-    got == expect
+    neighbors_in(body) == expect
         && field_u64(body, "degree") == Some(t.g.degree(p) as u64)
         && field_u64(body, "count") == Some(expect.len() as u64)
-}
-
-/// Extract a float field; `None` for a missing key or a JSON `null`.
-fn field_f64(body: &str, key: &str) -> Option<f64> {
-    let tail = body.split(&format!("\"{key}\": ")).nth(1)?;
-    let raw = tail.split([',', '\n', '}']).next()?.trim();
-    if raw == "null" {
-        return None;
-    }
-    raw.parse().ok()
 }
 
 /// Verify a `/v1/clustering/{p}/{q}` body: squares recounted directly,
@@ -1025,11 +1000,7 @@ fn finish(
     if !args.check_health.is_empty() {
         let mut client = Client::connect(&args.addr, 11).expect("connect for health check");
         let (status, body) = client.get("/v1/health").expect("health request");
-        let got = body
-            .split("\"status\": \"")
-            .nth(1)
-            .and_then(|tail| tail.split('"').next())
-            .unwrap_or("");
+        let got = field_str(&body, "status").unwrap_or("");
         if status != 200 || got != args.check_health {
             health_failed = true;
             eprintln!(
