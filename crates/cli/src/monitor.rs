@@ -86,7 +86,7 @@ impl MonitorConfig {
             }
         }
         let url = url.ok_or("monitor requires a server URL (e.g. http://127.0.0.1:7474)")?;
-        let (host, port) = parse_host_port(&url)?;
+        let (host, port) = parse_host_port("monitor", &url)?;
         Ok(MonitorConfig {
             host,
             port,
@@ -99,20 +99,22 @@ impl MonitorConfig {
 
 /// Accepts `http://host:port[/...]`, `host:port`, or bare `host`
 /// (default port 7474).
-pub(crate) fn parse_host_port(url: &str) -> Result<(String, u16), String> {
+pub(crate) fn parse_host_port(command: &str, url: &str) -> Result<(String, u16), String> {
     let rest = url.strip_prefix("http://").unwrap_or(url);
     if rest.starts_with("https://") || url.starts_with("https://") {
-        return Err("monitor: https is not supported (std-only client)".to_string());
+        return Err(format!(
+            "{command}: https is not supported (std-only client)"
+        ));
     }
     let authority = rest.split('/').next().unwrap_or("");
     if authority.is_empty() {
-        return Err(format!("monitor: bad URL {url:?}"));
+        return Err(format!("{command}: bad URL {url:?}"));
     }
     match authority.rsplit_once(':') {
         Some((host, port)) => {
             let port: u16 = port
                 .parse()
-                .map_err(|e| format!("monitor: bad port in {url:?}: {e}"))?;
+                .map_err(|e| format!("{command}: bad port in {url:?}: {e}"))?;
             Ok((host.to_string(), port))
         }
         None => Ok((authority.to_string(), 7474)),
@@ -729,6 +731,14 @@ mod tests {
         assert!(MonitorConfig::parse(&[]).is_err());
         assert!(MonitorConfig::parse(&["https://x:1".into()]).is_err());
         assert!(MonitorConfig::parse(&["h:1".into(), "--frob".into()]).is_err());
+    }
+
+    #[test]
+    fn url_errors_name_monitor() {
+        let err = MonitorConfig::parse(&["https://h:1".into()]).unwrap_err();
+        assert_eq!(err, "monitor: https is not supported (std-only client)");
+        let err = MonitorConfig::parse(&["h:port".into()]).unwrap_err();
+        assert!(err.starts_with("monitor: bad port"), "{err}");
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl ProfileConfig {
             }
         }
         let url = url.ok_or("profile requires a server URL (e.g. http://127.0.0.1:7474)")?;
-        let (host, port) = parse_host_port(&url)?;
+        let (host, port) = parse_host_port("profile", &url)?;
         Ok(ProfileConfig {
             host,
             port,
@@ -260,6 +260,14 @@ mod tests {
         assert!(ProfileConfig::parse(&["h:1".into(), "--seconds".into(), "x".into()]).is_err());
     }
 
+    #[test]
+    fn url_errors_name_profile() {
+        let err = ProfileConfig::parse(&["https://h:1".into()]).unwrap_err();
+        assert_eq!(err, "profile: https is not supported (std-only client)");
+        let err = ProfileConfig::parse(&["h:port".into()]).unwrap_err();
+        assert!(err.starts_with("profile: bad port"), "{err}");
+    }
+
     fn sample_payload() -> &'static str {
         r#"{
   "schema": "bikron-profile/1",
@@ -271,7 +279,7 @@ mod tests {
   "stacks": {
     "serve;accept": 40,
     "serve;evaluate": 100,
-    "serve;evaluate;cache_lookup": 20,
+    "serve;evaluate;cache": 20,
     "serve;evaluate;serialize": 30,
     "serve;write": 10
   }

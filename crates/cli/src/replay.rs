@@ -129,7 +129,7 @@ impl ReplayConfig {
         match positional.as_slice() {
             [log, url] => {
                 cfg.log_path = (*log).clone();
-                let (host, port) = parse_host_port(url)?;
+                let (host, port) = parse_host_port("replay", url)?;
                 cfg.host = host;
                 cfg.port = port;
                 Ok(cfg)
@@ -524,6 +524,15 @@ mod tests {
             "-1".to_string()
         ])
         .is_err());
+    }
+
+    #[test]
+    fn url_errors_name_replay() {
+        let parse = |url: &str| ReplayConfig::parse(&["access.log".to_string(), url.to_string()]);
+        let err = parse("https://h:1").unwrap_err();
+        assert_eq!(err, "replay: https is not supported (std-only client)");
+        let err = parse("h:port").unwrap_err();
+        assert!(err.starts_with("replay: bad port"), "{err}");
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl TraceConfig {
             }
         }
         let url = url.ok_or("trace requires a server URL (e.g. http://127.0.0.1:7474)")?;
-        let (host, port) = parse_host_port(&url)?;
+        let (host, port) = parse_host_port("trace", &url)?;
         Ok(TraceConfig {
             host,
             port,
@@ -349,6 +349,14 @@ mod tests {
         assert!(TraceConfig::parse(&[]).is_err());
         assert!(TraceConfig::parse(&["h:1".into(), "--frob".into()]).is_err());
         assert!(TraceConfig::parse(&["h:1".into(), "--min-ms".into(), "x".into()]).is_err());
+    }
+
+    #[test]
+    fn url_errors_name_trace() {
+        let err = TraceConfig::parse(&["https://h:1".into()]).unwrap_err();
+        assert_eq!(err, "trace: https is not supported (std-only client)");
+        let err = TraceConfig::parse(&["h:port".into()]).unwrap_err();
+        assert!(err.starts_with("trace: bad port"), "{err}");
     }
 
     fn sample_dump() -> &'static str {

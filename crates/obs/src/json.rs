@@ -171,6 +171,22 @@ impl JsonWriter {
         self.out.push_str("null");
     }
 
+    /// [`JsonWriter::u64_field`], or `"key": null` for `None`.
+    pub fn opt_u64_field(&mut self, key: &str, value: Option<u64>) {
+        match value {
+            Some(v) => self.u64_field(key, v),
+            None => self.null_field(key),
+        }
+    }
+
+    /// [`JsonWriter::f64_field`], or `"key": null` for `None`.
+    pub fn opt_f64_field(&mut self, key: &str, value: Option<f64>) {
+        match value {
+            Some(v) => self.f64_field(key, v),
+            None => self.null_field(key),
+        }
+    }
+
     fn push_string(&mut self, s: &str) {
         self.out.push('"');
         escape_into(&mut self.out, s);

@@ -11,7 +11,9 @@
 //! structured-event **logger** ([`log`]), request-scoped **trace
 //! contexts and span trees** with W3C `traceparent` propagation and
 //! tail-based slow-request capture ([`span`]), a continuous wall-clock
-//! **sampling profiler** over the phase machinery ([`profile`]), and a
+//! **sampling profiler** over the phase machinery ([`profile`]; timers,
+//! profiler and request spans share one per-thread frame stack, and both
+//! span stores one [`ring::Ring`]), and a
 //! [`Report`] snapshot that
 //! serialises to a stable JSON schema (`bikron-obs/4`) and parses back
 //! ([`Report::from_json`], which also reads v1–v3 reports). The
@@ -59,6 +61,7 @@ pub mod profile;
 pub mod prom;
 mod registry;
 mod report;
+pub mod ring;
 pub mod span;
 pub mod trace;
 pub mod window;

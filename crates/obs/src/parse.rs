@@ -40,6 +40,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+impl ParseError {
+    /// A report-shape error: the JSON parsed, its content is wrong.
+    fn shape(message: impl Into<String>) -> ParseError {
+        ParseError {
+            offset: 0,
+            message: message.into(),
+        }
+    }
+}
+
 /// A parsed JSON value restricted to what bikron's own writers emit:
 /// no floats, no negative numbers. The shared reader behind
 /// [`Report::from_json`] and the CLI's trace/profile dump decoding.
@@ -314,20 +324,16 @@ impl<'a> Parser<'a> {
 fn as_obj(v: &JsonValue, what: &str) -> Result<BTreeMap<String, JsonValue>, ParseError> {
     match v {
         JsonValue::Obj(m) => Ok(m.clone()),
-        _ => Err(ParseError {
-            offset: 0,
-            message: format!("{what} must be a JSON object"),
-        }),
+        _ => Err(ParseError::shape(format!("{what} must be a JSON object"))),
     }
 }
 
 fn num_field(obj: &BTreeMap<String, JsonValue>, key: &str, what: &str) -> Result<u64, ParseError> {
     match obj.get(key) {
         Some(JsonValue::Num(n)) => Ok(*n),
-        _ => Err(ParseError {
-            offset: 0,
-            message: format!("{what} is missing integer field {key:?}"),
-        }),
+        _ => Err(ParseError::shape(format!(
+            "{what} is missing integer field {key:?}"
+        ))),
     }
 }
 
@@ -345,17 +351,11 @@ impl Report {
             Some(JsonValue::Str(s)) if s == "bikron-obs/3" => 3,
             Some(JsonValue::Str(s)) if s == "bikron-obs/4" => 4,
             Some(JsonValue::Str(s)) => {
-                return Err(ParseError {
-                    offset: 0,
-                    message: format!("unknown schema {s:?} (expected bikron-obs/1 through /4)"),
-                })
+                return Err(ParseError::shape(format!(
+                    "unknown schema {s:?} (expected bikron-obs/1 through /4)"
+                )))
             }
-            _ => {
-                return Err(ParseError {
-                    offset: 0,
-                    message: "report has no \"schema\" string field".into(),
-                })
-            }
+            _ => return Err(ParseError::shape("report has no \"schema\" string field")),
         };
 
         let mut report = Report::default();
@@ -365,12 +365,7 @@ impl Report {
             for (k, v) in as_obj(v, "meta")? {
                 match v {
                     JsonValue::Str(s) => report.set_meta(&k, s),
-                    _ => {
-                        return Err(ParseError {
-                            offset: 0,
-                            message: format!("meta.{k} must be a string"),
-                        })
-                    }
+                    _ => return Err(ParseError::shape(format!("meta.{k} must be a string"))),
                 }
             }
         }
@@ -379,10 +374,9 @@ impl Report {
                 match v {
                     JsonValue::Num(n) => report.insert_counter(k, n),
                     _ => {
-                        return Err(ParseError {
-                            offset: 0,
-                            message: format!("counters.{k} must be an integer"),
-                        })
+                        return Err(ParseError::shape(format!(
+                            "counters.{k} must be an integer"
+                        )))
                     }
                 }
             }
@@ -441,24 +435,19 @@ impl Report {
                 let win = as_obj(&v, &format!("windows.{k}"))?;
                 let what = format!("windows.{k}");
                 let kind = match win.get("kind") {
-                    Some(JsonValue::Str(s)) => {
-                        WindowKind::parse_str(s).ok_or_else(|| ParseError {
-                            offset: 0,
-                            message: format!("{what}.kind {s:?} is not counter|histogram"),
-                        })?
-                    }
+                    Some(JsonValue::Str(s)) => WindowKind::parse_str(s).ok_or_else(|| {
+                        ParseError::shape(format!("{what}.kind {s:?} is not counter|histogram"))
+                    })?,
                     _ => {
-                        return Err(ParseError {
-                            offset: 0,
-                            message: format!("{what} is missing string field \"kind\""),
-                        })
+                        return Err(ParseError::shape(format!(
+                            "{what} is missing string field \"kind\""
+                        )))
                     }
                 };
                 let stats = |label: &str| -> Result<WindowStats, ParseError> {
                     let s = as_obj(
-                        win.get(label).ok_or_else(|| ParseError {
-                            offset: 0,
-                            message: format!("{what} is missing window {label:?}"),
+                        win.get(label).ok_or_else(|| {
+                            ParseError::shape(format!("{what} is missing window {label:?}"))
                         })?,
                         &format!("{what}.{label}"),
                     )?;
@@ -492,10 +481,9 @@ impl Report {
                             stacks.insert(stack, n);
                         }
                         _ => {
-                            return Err(ParseError {
-                                offset: 0,
-                                message: format!("profile.stacks.{stack:?} must be an integer"),
-                            })
+                            return Err(ParseError::shape(format!(
+                                "profile.stacks.{stack:?} must be an integer"
+                            )))
                         }
                     }
                 }

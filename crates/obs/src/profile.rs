@@ -1,9 +1,11 @@
 //! Continuous phase-level wall-clock profiling.
 //!
-//! Every thread that opens a phase (via [`crate::Registry::phase`] or the
-//! lightweight [`phase`] guard here) **publishes** its live phase stack
-//! into a lock-free slot registry: one `AtomicU64` per thread holding the
-//! interned id of the full collapsed stack (`accept;evaluate;cache`).
+//! Every thread keeps one frame stack that registry timers, the profiler
+//! and request spans all read. Opening a phase (via
+//! [`crate::Registry::phase`] or the [`phase`] bracket here)
+//! **publishes** the live stack into a lock-free slot registry: one
+//! `AtomicU64` per thread holding the interned id of the full collapsed
+//! stack (`accept;evaluate;cache`).
 //! Publication is one hash lookup plus one atomic store per phase
 //! transition in the steady state (the (parent, leaf) → id mapping is
 //! cached thread-locally after first use), and a single relaxed load when
@@ -44,6 +46,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
+
+use crate::span::{RequestScope, SpanRecorder, SpanToken};
 
 /// Default sampling rate. 99 Hz is the profiler-folklore choice: fast
 /// enough for ~1% attribution resolution over a 3-second window, prime
@@ -118,28 +122,112 @@ impl Interner {
     }
 }
 
-/// Per-thread publication state: the claimed slot, the open-phase id
-/// stack, and the `(parent, leaf) → id` cache that keeps steady-state
-/// publication allocation-free (outer map keyed by parent id so the
-/// inner lookup borrows the `&str` leaf directly).
-struct ThreadState {
-    slot: usize,
-    stack: Vec<u32>,
+/// The per-thread frame stack: open [`crate::Registry::phase`] names
+/// (`outer/inner`), the profiler slot (returned at thread exit) and
+/// published id stack, the `(parent, leaf) → id` cache that keeps
+/// publication allocation-free, the installed request, the Chrome
+/// trace thread id and the trace-id generator state.
+pub(crate) struct Frames {
+    pub(crate) names: Vec<String>,
+    slot: Option<usize>,
+    ids: Vec<u32>,
     cache: HashMap<u32, HashMap<String, u32>>,
+    pub(crate) request: Request,
+    pub(crate) tid: u64,
+    pub(crate) rng: u64,
 }
 
-impl Drop for ThreadState {
+/// The request a thread works for ([`crate::span::begin_request`]): its
+/// recorder when traced, its innermost open span and its cache outcome.
+#[derive(Clone, Default)]
+pub(crate) struct Request {
+    pub(crate) recorder: Option<SpanRecorder>,
+    pub(crate) parent: Option<SpanToken>,
+    pub(crate) outcome: Option<bool>,
+}
+
+/// A span opened on the frame stack; its guard closes it.
+pub(crate) struct OpenSpan {
+    token: Option<SpanToken>,
+    /// The innermost span before this one, restored at close.
+    outer: Option<SpanToken>,
+    /// Set when the span owns its cache outcome: the request's outcome
+    /// from before it opened, restored at close.
+    outer_outcome: Option<Option<bool>>,
+}
+
+impl Request {
+    /// Begin a child of the innermost open span (`name` is rendered only
+    /// when the request is traced). A span that does not own its cache
+    /// outcome is only opened when the request is traced.
+    pub(crate) fn open_span(
+        &mut self,
+        name: impl std::fmt::Display,
+        own_outcome: bool,
+    ) -> Option<OpenSpan> {
+        if self.recorder.is_none() && !own_outcome {
+            return None;
+        }
+        let token = self
+            .recorder
+            .as_ref()
+            .and_then(|r| r.begin(&name.to_string(), self.parent));
+        let outer = self.parent;
+        self.parent = token.or(outer);
+        let outer_outcome = own_outcome.then(|| self.outcome.take());
+        Some(OpenSpan {
+            token,
+            outer,
+            outer_outcome,
+        })
+    }
+
+    fn close_span(&mut self, open: OpenSpan) {
+        if let Some(rec) = &self.recorder {
+            if open.outer_outcome.is_some() {
+                rec.set_cache(open.token, self.outcome);
+            }
+            rec.end(open.token);
+        }
+        self.parent = open.outer;
+        if let Some(outcome) = open.outer_outcome {
+            self.outcome = outcome;
+        }
+    }
+}
+
+impl Drop for Frames {
     fn drop(&mut self) {
-        // Thread exit: return the slot to the free list so scoped
-        // helper threads never exhaust the registry.
-        let p = profiler();
-        p.slots[self.slot].store(SLOT_FREE, Ordering::Release);
-        p.free.lock().expect("profiler free list").push(self.slot);
+        if let Some(slot) = self.slot {
+            let p = profiler();
+            p.slots[slot].store(SLOT_FREE, Ordering::Release);
+            // A poisoned free list only leaks this slot; never panic here.
+            if let Ok(mut free) = p.free.lock() {
+                free.push(slot);
+            }
+        }
     }
 }
 
 thread_local! {
-    static THREAD: RefCell<Option<ThreadState>> = const { RefCell::new(None) };
+    static FRAMES: RefCell<Frames> = RefCell::new(Frames {
+        names: Vec::new(),
+        slot: None,
+        ids: Vec::new(),
+        cache: HashMap::new(),
+        request: Request::default(),
+        tid: {
+            static NEXT: AtomicU64 = AtomicU64::new(0);
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        },
+        rng: crate::span::seed_entropy(),
+    });
+}
+
+/// Run `f` on the calling thread's frame stack (`None` only during
+/// thread teardown).
+pub(crate) fn with_frames<R>(f: impl FnOnce(&mut Frames) -> R) -> Option<R> {
+    FRAMES.try_with(|cell| f(&mut cell.borrow_mut())).ok()
 }
 
 /// The process-wide profiler: slot registry, interner, and sample table.
@@ -231,71 +319,62 @@ impl Profiler {
         })
     }
 
-    /// Push `leaf` onto the calling thread's published stack. Returns
-    /// whether a frame was actually pushed (the paired [`exit`] is only
-    /// run then). `#[inline]` so the disarmed path folds into one load.
-    #[inline]
-    pub(crate) fn enter(&self, leaf: &str) -> bool {
-        if !self.is_armed() {
-            return false;
-        }
-        self.enter_slow(leaf)
-    }
-
-    fn enter_slow(&self, leaf: &str) -> bool {
-        THREAD.with(|cell| {
-            let mut borrow = cell.borrow_mut();
-            let state = match borrow.as_mut() {
-                Some(s) => s,
-                None => {
-                    let Some(slot) = self.free.lock().expect("profiler free list").pop() else {
-                        self.slot_exhausted.fetch_add(1, Ordering::Relaxed);
-                        return false;
-                    };
-                    self.slots[slot].store(SLOT_IDLE, Ordering::Release);
-                    borrow.get_or_insert(ThreadState {
-                        slot,
-                        stack: Vec::with_capacity(8),
-                        cache: HashMap::new(),
-                    })
-                }
-            };
-            let parent = state.stack.last().copied().unwrap_or(ROOT);
-            let id = match state.cache.get(&parent).and_then(|m| m.get(leaf)) {
-                Some(&id) => id,
-                None => {
-                    let id = self
-                        .interner
-                        .lock()
-                        .expect("profiler interner")
-                        .intern(parent, leaf);
-                    state
-                        .cache
-                        .entry(parent)
-                        .or_default()
-                        .insert(leaf.to_string(), id);
-                    id
-                }
-            };
-            state.stack.push(id);
-            self.slots[state.slot].store(u64::from(id) + NODE_BASE, Ordering::Release);
-            true
+    /// Push `leaf` onto `frames`' published stack. Returns whether a
+    /// frame was pushed (the paired [`Profiler::pop`] runs only then);
+    /// one relaxed load while disarmed.
+    pub(crate) fn push(&self, frames: &mut Frames, leaf: &str) -> bool {
+        self.push_id(frames, |f| {
+            let parent = f.ids.last().copied().unwrap_or(ROOT);
+            if let Some(&id) = f.cache.get(&parent).and_then(|m| m.get(leaf)) {
+                return id;
+            }
+            let id = self
+                .interner
+                .lock()
+                .expect("profiler interner")
+                .intern(parent, leaf);
+            f.cache
+                .entry(parent)
+                .or_default()
+                .insert(leaf.to_string(), id);
+            id
         })
     }
 
-    /// Pop the calling thread's published stack (paired with a `true`
-    /// return from [`enter`]).
-    pub(crate) fn exit(&self) {
-        THREAD.with(|cell| {
-            if let Some(state) = cell.borrow_mut().as_mut() {
-                state.stack.pop();
-                let value = state
-                    .stack
-                    .last()
-                    .map_or(SLOT_IDLE, |&id| u64::from(id) + NODE_BASE);
-                self.slots[state.slot].store(value, Ordering::Release);
+    /// Publish the interned id `id_of` yields on top of `frames`' stack,
+    /// claiming the thread's slot on first use (best-effort: when every
+    /// slot is taken nothing is published).
+    fn push_id(&self, frames: &mut Frames, id_of: impl FnOnce(&mut Frames) -> u32) -> bool {
+        if !self.is_armed() {
+            return false;
+        }
+        let slot = match frames.slot {
+            Some(slot) => slot,
+            None => {
+                let Some(slot) = self.free.lock().expect("profiler free list").pop() else {
+                    self.slot_exhausted.fetch_add(1, Ordering::Relaxed);
+                    return false;
+                };
+                *frames.slot.insert(slot)
             }
-        });
+        };
+        let id = id_of(frames);
+        frames.ids.push(id);
+        self.slots[slot].store(u64::from(id) + NODE_BASE, Ordering::Release);
+        true
+    }
+
+    /// Pop `frames`' published stack (paired with a `true` return from
+    /// [`Profiler::push`]).
+    pub(crate) fn pop(&self, frames: &mut Frames) {
+        frames.ids.pop();
+        if let Some(slot) = frames.slot {
+            let value = frames
+                .ids
+                .last()
+                .map_or(SLOT_IDLE, |&id| u64::from(id) + NODE_BASE);
+            self.slots[slot].store(value, Ordering::Release);
+        }
     }
 
     /// One sampler sweep over the slot registry: count every published
@@ -374,30 +453,97 @@ pub fn profiler() -> &'static Profiler {
     PROFILER.get_or_init(Profiler::new)
 }
 
-/// RAII frame on the calling thread's published stack. The lightweight
-/// entry point for hot paths that want profiler attribution *without* a
-/// [`crate::Registry`] timer (no name-lookup mutex, no `format!`): one
-/// relaxed load when profiling is off, one cached hash lookup plus one
-/// atomic store when on.
+/// The one bracket for a request phase: publishes `leaf` to the
+/// profiler and, while a traced request is installed
+/// ([`crate::span::begin_request`]), records a span of the same name
+/// under the innermost open span. One thread-local borrow when
+/// profiling is off and the request untraced.
 #[must_use = "dropping the guard immediately closes the profile frame"]
 pub struct ProfileGuard {
     pushed: bool,
+    span: Option<OpenSpan>,
 }
 
-/// Open a profile frame named `leaf` (collapsed under the thread's
-/// current stack). See [`ProfileGuard`].
-#[inline]
+/// Open a frame named `leaf`. See [`ProfileGuard`].
 pub fn phase(leaf: &str) -> ProfileGuard {
-    ProfileGuard {
-        pushed: profiler().enter(leaf),
+    with_frames(|f| ProfileGuard {
+        pushed: profiler().push(f, leaf),
+        span: f.request.open_span(leaf, false),
+    })
+    .unwrap_or_else(|| ProfileGuard::span(None))
+}
+
+impl ProfileGuard {
+    /// A span-only guard (no profile frame).
+    pub(crate) fn span(span: Option<OpenSpan>) -> ProfileGuard {
+        ProfileGuard {
+            pushed: false,
+            span,
+        }
+    }
+
+    /// Record a cache outcome (`true` hit) on this frame's span and as
+    /// the request's.
+    pub fn cache(&self, hit: bool) {
+        with_frames(|f| {
+            f.request.outcome = Some(hit);
+            if let (Some(rec), Some(open)) = (&f.request.recorder, &self.span) {
+                rec.set_cache(open.token, Some(hit));
+            }
+        });
     }
 }
 
 impl Drop for ProfileGuard {
     fn drop(&mut self) {
-        if self.pushed {
-            profiler().exit();
+        let span = self.span.take();
+        if self.pushed || span.is_some() {
+            with_frames(|f| {
+                if let Some(open) = span {
+                    f.request.close_span(open);
+                }
+                if self.pushed {
+                    profiler().pop(f);
+                }
+            });
         }
+    }
+}
+
+/// A thread's innermost frame and request, for helper threads.
+#[derive(Default)]
+pub struct Captured {
+    node: Option<u32>,
+    request: Request,
+}
+
+/// Capture the calling thread's context for [`Captured::adopt`].
+pub fn capture() -> Captured {
+    with_frames(|f| Captured {
+        node: f.ids.last().copied(),
+        request: Request {
+            outcome: None,
+            ..f.request.clone()
+        },
+    })
+    .unwrap_or_default()
+}
+
+impl Captured {
+    /// Until the guards drop, frames opened on this thread collapse under
+    /// the captured frame and record spans into the captured request,
+    /// which replaces this thread's own and keeps a cache outcome of its
+    /// own (never the request's). For helper threads.
+    pub fn adopt(&self) -> (ProfileGuard, RequestScope) {
+        let pushed = with_frames(|f| {
+            f.request = self.request.clone();
+            self.node.is_some_and(|id| profiler().push_id(f, |_| id))
+        });
+        let frame = ProfileGuard {
+            pushed: pushed == Some(true),
+            span: None,
+        };
+        (frame, RequestScope(()))
     }
 }
 
@@ -676,6 +822,67 @@ mod tests {
         let snap = p.snapshot();
         assert!(snap.stacks.get("pt_restore_a;pt_restore_b").copied() >= Some(1));
         assert!(snap.stacks.get("pt_restore_a").copied() >= Some(1));
+    }
+
+    #[test]
+    fn adopted_helper_frames_collapse_under_the_captured_frame() {
+        let _serial = test_lock();
+        let p = profiler();
+        p.arm();
+        let before = p.snapshot();
+        let evaluate = phase("evaluate");
+        let context = capture();
+        std::thread::spawn(move || {
+            let _adopted = context.adopt();
+            let _cache = phase("cache");
+            profiler().sample_once();
+        })
+        .join()
+        .unwrap();
+        drop(evaluate);
+        p.disarm();
+        let window = p.snapshot().since(&before);
+        assert!(
+            window.stacks.get("evaluate;cache").copied() >= Some(1),
+            "{:?}",
+            window.stacks
+        );
+        assert_eq!(
+            window.stacks.get("cache"),
+            None,
+            "helper published a root stack"
+        );
+    }
+
+    #[test]
+    fn registry_phase_inside_a_frame_keeps_its_timer_name_and_trace() {
+        let _serial = test_lock();
+        let p = profiler();
+        let registry = crate::Registry::new();
+        let tracer = crate::trace::tracer();
+        tracer.enable();
+        p.arm();
+        {
+            let _outer = registry.phase("pt_reg_outer");
+            let _mid = phase("pt_reg_mid");
+            let _inner = registry.phase("pt_reg_inner");
+            p.sample_once();
+        }
+        p.disarm();
+        tracer.disable();
+        let report = registry.snapshot();
+        assert_eq!(report.timer("pt_reg_outer").map(|t| t.count), Some(1));
+        assert_eq!(
+            report.timer("pt_reg_outer/pt_reg_inner").map(|t| t.count),
+            Some(1)
+        );
+        let spans: Vec<String> = tracer.spans().into_iter().map(|s| s.name).collect();
+        assert!(
+            spans.iter().any(|n| n == "pt_reg_outer/pt_reg_inner"),
+            "{spans:?}"
+        );
+        let stacks = p.snapshot().stacks;
+        assert!(stacks.contains_key("pt_reg_outer;pt_reg_mid;pt_reg_inner"));
     }
 
     #[test]

@@ -1,20 +1,14 @@
 //! The [`Registry`]: a named collection of counters, gauges, and phase
 //! timers, snapshottable into a [`Report`].
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::histogram::Histogram;
 use crate::metrics::{Counter, Gauge, TimerStats};
+use crate::profile::{profiler, with_frames};
 use crate::report::Report;
-
-thread_local! {
-    /// Stack of open phase names on this thread — makes nested phases
-    /// record under hierarchical keys ("generate/stream_edges").
-    static PHASE_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-}
 
 /// A named metric store. Lookup takes a mutex (cheap, once per kernel
 /// invocation); the returned `Arc` handles mutate lock-free, so hot loops
@@ -64,24 +58,22 @@ impl Registry {
     /// thread (`outer/inner`). Monotonic ([`Instant`]), panic-safe (the
     /// guard records on unwind too).
     pub fn phase(&self, name: &str) -> PhaseGuard<'_> {
-        let full = PHASE_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            let full = match s.last() {
+        // Nested phases record under hierarchical keys such as
+        // "generate/stream_edges"; the *leaf* name is published to the
+        // process-wide profiler (collapsed stacks read `outer;inner`)
+        // whichever registry timed the phase.
+        let (name, profiled) = with_frames(|f| {
+            let full = match f.names.last() {
                 Some(outer) => format!("{outer}/{name}"),
                 None => name.to_string(),
             };
-            s.push(full.clone());
-            full
-        });
-        // Publish the *leaf* name to the continuous profiler's per-thread
-        // slot (collapsed stacks read `outer;inner` there; one relaxed
-        // load when profiling is off). Like spans, publication targets
-        // the process-wide profiler regardless of which registry timed
-        // the phase.
-        let profiled = crate::profile::profiler().enter(name);
+            f.names.push(full.clone());
+            (full, profiler().push(f, name))
+        })
+        .unwrap_or_else(|| (name.to_string(), false));
         PhaseGuard {
             registry: self,
-            name: full,
+            name,
             start: Instant::now(),
             profiled,
         }
@@ -183,19 +175,18 @@ impl Drop for PhaseGuard<'_> {
     fn drop(&mut self) {
         let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         self.registry.timer(&self.name).record_ns(ns);
-        if self.profiled {
-            crate::profile::profiler().exit();
-        }
         // Feed the span collector too (one relaxed load when tracing is
         // off). Spans go to the process-wide tracer regardless of which
         // registry timed the phase — a trace is a per-process timeline.
         crate::trace::tracer().record_span(&self.name, self.start, ns);
-        PHASE_STACK.with(|s| {
-            let mut s = s.borrow_mut();
+        with_frames(|f| {
+            if self.profiled {
+                profiler().pop(f);
+            }
             // Pop our own entry; tolerate out-of-order drops from
             // mem::forget-style misuse by searching from the top.
-            if let Some(pos) = s.iter().rposition(|n| *n == self.name) {
-                s.remove(pos);
+            if let Some(pos) = f.names.iter().rposition(|n| *n == self.name) {
+                f.names.remove(pos);
             }
         });
     }

@@ -15,14 +15,16 @@
 //!   per-item spans into the same tree) collecting [`SpanRecord`]s with
 //!   nanosecond offsets relative to the request start. Bounded at
 //!   [`MAX_SPANS_PER_REQUEST`]; overflow is dropped *and counted*.
-//! * [`SpanSink`] — a bounded ring of captured [`RequestTrace`]s with
-//!   **tail-based sampling**: after a request completes, its tree is
+//! * The **request context** — [`begin_request`] installs a request on
+//!   the thread's frame stack (the one the profiler and timers use), so
+//!   every [`crate::profile::phase`] frame is also a child span until
+//!   [`RequestScope::finish`] hands the recorder back by value.
+//! * [`SpanSink`] — a bounded [`Ring`] of captured [`RequestTrace`]s
+//!   with **tail-based sampling**: after a request completes, its tree is
 //!   retained iff the total latency exceeded the sink's slow threshold
 //!   (`--trace-slow-ms`) or it won the 1-in-N head sample
-//!   (`--trace-sample`). The ring overwrites oldest-first under an
-//!   atomic cursor with per-slot mutexes (the same bounded-ring idiom as
-//!   [`crate::trace::TraceCollector`]), so capture never blocks the
-//!   request path on a global lock.
+//!   (`--trace-sample`), so capture never blocks the request path on a
+//!   global lock.
 //!
 //! Why tail-based: the paper's closed forms make every answer
 //! O(1)–O(deg), so slowness is *operational* (queueing, cache misses,
@@ -33,12 +35,15 @@
 //! keep/drop decision happens at the end, when the latency is known.
 
 use std::collections::hash_map::RandomState;
+use std::fmt;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use crate::json::JsonWriter;
+use crate::profile::{with_frames, ProfileGuard, Request};
+use crate::ring::Ring;
 
 /// Hard cap on spans recorded per request: `--batch-max` defaults to 256
 /// items (one child span each) plus the fixed accept/parse/evaluate/
@@ -152,26 +157,22 @@ fn is_lower_hex(s: &str) -> bool {
             .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
 }
 
-/// Per-thread xorshift64* state, seeded once from [`RandomState`] (the
-/// std hasher's per-process random keys) mixed with a global counter, so
-/// ids are unpredictable across processes and unique across threads
-/// without any RNG dependency.
+/// Per-thread xorshift64* draw (the state lives on the thread's frame
+/// stack), seeded once from [`RandomState`] (the std hasher's
+/// per-process random keys) mixed with a global counter, so ids are
+/// unpredictable across processes and unique across threads without any
+/// RNG dependency.
 fn next_random() -> u64 {
-    use std::cell::Cell;
-    thread_local! {
-        static STATE: Cell<u64> = Cell::new(seed_entropy());
-    }
-    STATE.with(|s| {
-        let mut x = s.get();
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        s.set(x);
+    let draw = |x: &mut u64| {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    })
+    };
+    with_frames(|f| draw(&mut f.rng)).unwrap_or_else(|| draw(&mut seed_entropy()))
 }
 
-fn seed_entropy() -> u64 {
+pub(crate) fn seed_entropy() -> u64 {
     static SALT: AtomicU64 = AtomicU64::new(0x9E37_79B9_7F4A_7C15);
     let mut h = RandomState::new().build_hasher();
     h.write_u64(SALT.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed));
@@ -216,9 +217,11 @@ pub struct SpanToken {
     pub span_id: u64,
 }
 
+#[derive(Default)]
 struct RecorderInner {
     spans: Vec<SpanRecord>,
-    next_seq: u64,
+    /// Spans rejected by the per-request cap.
+    overflow: u64,
 }
 
 /// Why a trace was retained by the sink.
@@ -308,16 +311,16 @@ impl RequestTrace {
     }
 }
 
-/// Per-request span recorder. Created when a [`SpanSink`] is enabled;
-/// shareable across the batch fan-out threads (`&self` methods, interior
-/// mutex — contention is nil because a request records a handful of
-/// spans and batch items record exactly one each).
+/// Per-request span recorder. Created when a [`SpanSink`] is enabled.
+/// Clones share one tree (interior mutex — contention is nil because a
+/// request records a handful of spans and batch items a few each), so
+/// the batch fan-out threads record into the same request.
+#[derive(Clone)]
 pub struct SpanRecorder {
     ctx: TraceContext,
     remote_parent: u64,
     started: Instant,
-    inner: Mutex<RecorderInner>,
-    overflow: AtomicU64,
+    inner: Arc<Mutex<RecorderInner>>,
 }
 
 impl SpanRecorder {
@@ -337,11 +340,7 @@ impl SpanRecorder {
             ctx,
             remote_parent,
             started,
-            inner: Mutex::new(RecorderInner {
-                spans: Vec::with_capacity(8),
-                next_seq: 1,
-            }),
-            overflow: AtomicU64::new(0),
+            inner: Arc::default(),
         }
     }
 
@@ -373,17 +372,15 @@ impl SpanRecorder {
     ) -> Option<SpanToken> {
         let mut inner = self.inner.lock().unwrap();
         if inner.spans.len() >= MAX_SPANS_PER_REQUEST {
-            self.overflow.fetch_add(1, Ordering::Relaxed);
+            inner.overflow += 1;
             return None;
         }
-        // Child ids are derived from the root span id and a sequence
-        // number through a splitmix-style mix: unique within the trace,
-        // no extra RNG draw per span.
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let span_id = mix_span_id(self.ctx.span_id, seq);
-        let parent_id = parent.map_or(self.ctx.span_id, |t| t.span_id);
+        // Child ids are derived from the root span id and the span's
+        // 1-based position through a splitmix-style mix: unique within
+        // the trace, no extra RNG draw per span.
         let index = inner.spans.len();
+        let span_id = mix_span_id(self.ctx.span_id, index as u64 + 1);
+        let parent_id = parent.map_or(self.ctx.span_id, |t| t.span_id);
         inner.spans.push(SpanRecord {
             name: name.to_string(),
             span_id,
@@ -419,7 +416,7 @@ impl SpanRecorder {
 
     /// Spans rejected by the per-request cap.
     pub fn overflowed(&self) -> u64 {
-        self.overflow.load(Ordering::Relaxed)
+        self.inner.lock().expect("span recorder poisoned").overflow
     }
 
     /// Snapshot the recorded spans (test/assembly hook).
@@ -449,7 +446,7 @@ impl SpanRecorder {
             reason,
             seq: 0,
             unix_ms: 0,
-            spans: self.inner.into_inner().unwrap().spans,
+            spans: std::mem::take(&mut self.inner.lock().expect("span recorder poisoned").spans),
         }
     }
 }
@@ -464,6 +461,49 @@ fn mix_span_id(root: u64, seq: u64) -> u64 {
     z.max(1)
 }
 
+/// Install a request on the calling thread's frame stack, replacing any
+/// left there: `recorder` when it is traced (spans already in it, such
+/// as retroactive markers, stay), else `None` to keep only its cache
+/// outcome.
+pub fn begin_request(recorder: Option<SpanRecorder>) -> RequestScope {
+    with_frames(|f| {
+        f.request = Request {
+            recorder,
+            ..Request::default()
+        }
+    });
+    RequestScope(())
+}
+
+/// The request installed by [`begin_request`]. Dropping it unfinished
+/// uninstalls and discards the request.
+#[must_use = "dropping the scope uninstalls the request"]
+pub struct RequestScope(pub(crate) ());
+
+impl RequestScope {
+    /// Uninstall the request and hand back its recorder (when traced)
+    /// and its cache outcome (`Some(true)` hit; `None` when the request
+    /// itself never consulted the cache).
+    pub fn finish(self) -> (Option<SpanRecorder>, Option<bool>) {
+        let request = with_frames(|f| std::mem::take(&mut f.request)).unwrap_or_default();
+        (request.recorder, request.outcome)
+    }
+}
+
+impl Drop for RequestScope {
+    fn drop(&mut self) {
+        with_frames(|f| f.request = Request::default());
+    }
+}
+
+/// Open a span without a profile frame under the innermost open span:
+/// a batch item's bracket. It owns its cache outcome: what its body
+/// records annotates it and is not left as the request's. The name is
+/// rendered only when the request is traced.
+pub fn child(name: fmt::Arguments<'_>) -> ProfileGuard {
+    ProfileGuard::span(with_frames(|f| f.request.open_span(name, true)).flatten())
+}
+
 /// Bounded ring of captured [`RequestTrace`]s with tail-based sampling.
 ///
 /// A sink is constructed once per server from `--trace-slow-ms` /
@@ -471,11 +511,11 @@ fn mix_span_id(root: u64, seq: u64) -> u64 {
 /// recorder is ever allocated ([`SpanSink::enabled`] gates the per-
 /// request cost down to the id handshake).
 pub struct SpanSink {
-    slots: Box<[Mutex<Option<Arc<RequestTrace>>>]>,
+    /// Retained traces; its sequence counts every capture, overwritten
+    /// ones included.
+    ring: Ring<Arc<RequestTrace>>,
     /// Requests offered (completed while tracing was enabled).
     seen: AtomicU64,
-    /// Traces retained (tail or head sampled) — ring overwrites included.
-    captured: AtomicU64,
     /// Spans lost to the per-request cap, across all requests.
     dropped_spans: AtomicU64,
     slow_ns: u64,
@@ -492,11 +532,9 @@ impl SpanSink {
     /// tail sampling at that threshold, `sample_every > 0` additionally
     /// head-samples 1-in-N requests.
     pub fn new(capacity: usize, slow_ms: u64, sample_every: u64) -> SpanSink {
-        let capacity = capacity.max(1);
         SpanSink {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            ring: Ring::new(capacity),
             seen: AtomicU64::new(0),
-            captured: AtomicU64::new(0),
             dropped_spans: AtomicU64::new(0),
             slow_ns: slow_ms.saturating_mul(1_000_000),
             sample_every,
@@ -533,29 +571,24 @@ impl SpanSink {
         } else {
             return None;
         };
-        let seq = self.captured.fetch_add(1, Ordering::Relaxed) + 1;
-        let unix_ms = SystemTime::now()
+        let mut trace = recorder.into_trace(method, path_shape, status, bytes, total_ns, reason);
+        trace.unix_ms = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
-        let mut trace = recorder.into_trace(method, path_shape, status, bytes, total_ns, reason);
-        trace.seq = seq;
-        trace.unix_ms = unix_ms;
-        let slot = (seq as usize - 1) % self.slots.len();
-        *self.slots[slot].lock().unwrap() = Some(Arc::new(trace));
+        self.ring.push_with(|seq| {
+            trace.seq = seq + 1;
+            Arc::new(trace)
+        });
         Some(reason)
     }
 
     /// Traces currently retained, newest first, filtered to
     /// `total_ns >= min_ns`.
     pub fn snapshot(&self, min_ns: u64) -> Vec<Arc<RequestTrace>> {
-        let mut out: Vec<Arc<RequestTrace>> = self
-            .slots
-            .iter()
-            .filter_map(|s| s.lock().unwrap().clone())
-            .filter(|t| t.total_ns >= min_ns)
-            .collect();
-        out.sort_by_key(|t| std::cmp::Reverse(t.seq));
+        let mut out = self.ring.snapshot();
+        out.retain(|t| t.total_ns >= min_ns);
+        out.reverse();
         out
     }
 
@@ -566,7 +599,7 @@ impl SpanSink {
 
     /// Traces retained since startup (including ones since overwritten).
     pub fn captured(&self) -> u64 {
-        self.captured.load(Ordering::Relaxed)
+        self.ring.recorded()
     }
 
     /// Spans lost to the per-request cap since startup.
@@ -735,6 +768,66 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), 17, "span ids unique under concurrency");
         assert!(children.iter().all(|s| s.cache.is_some()));
+    }
+
+    /// The request context: frames opened on the request thread and on
+    /// a helper that adopted it build one tree; batch items own their
+    /// cache outcomes, so the request's stays unset.
+    #[test]
+    fn request_context_nests_frames_across_threads() {
+        use crate::profile::{capture, phase};
+        let scope = begin_request(Some(SpanRecorder::new(ctx(3, 5), 0)));
+        let evaluate = phase("evaluate");
+        {
+            let _item = child(format_args!("batch[0] vertex"));
+            let lookup = phase("cache");
+            lookup.cache(false);
+            drop(lookup);
+            let _serialize = phase("serialize");
+        }
+        let context = capture();
+        std::thread::spawn(move || {
+            let _adopted = context.adopt();
+            let _item = child(format_args!("batch[1] vertex"));
+            phase("cache").cache(true);
+        })
+        .join()
+        .unwrap();
+        drop(evaluate);
+        let (recorder, cache) = scope.finish();
+        assert_eq!(cache, None, "items own their cache outcomes");
+        let spans = recorder.expect("traced").spans();
+        let id = |name: &str| spans.iter().find(|s| s.name == name).unwrap().span_id;
+        let parent = |name: &str| spans.iter().find(|s| s.name == name).unwrap().parent_id;
+        assert_eq!(parent("evaluate"), 5);
+        for item in ["batch[0] vertex", "batch[1] vertex"] {
+            assert_eq!(parent(item), id("evaluate"));
+        }
+        let children = |item: &str| -> Vec<(&str, Option<bool>)> {
+            spans
+                .iter()
+                .filter(|s| s.parent_id == id(item))
+                .map(|s| (s.name.as_str(), s.cache))
+                .collect()
+        };
+        assert_eq!(
+            children("batch[0] vertex"),
+            [("cache", Some(false)), ("serialize", None)]
+        );
+        assert_eq!(children("batch[1] vertex"), [("cache", Some(true))]);
+        let item_cache = |name: &str| spans.iter().find(|s| s.name == name).unwrap().cache;
+        assert_eq!(item_cache("batch[0] vertex"), Some(false));
+        assert_eq!(item_cache("batch[1] vertex"), Some(true));
+    }
+
+    #[test]
+    fn untraced_request_keeps_its_cache_outcome() {
+        let scope = begin_request(None);
+        crate::profile::phase("cache").cache(true);
+        assert!(matches!(scope.finish(), (None, Some(true))));
+        // Nothing is left installed on the thread.
+        crate::profile::phase("cache").cache(false);
+        assert!(matches!(begin_request(None).finish(), (None, None)));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! [`TraceCollector::enable`] directly), every phase opened through
 //! [`crate::Registry::phase`] additionally records a **span** — name,
 //! numeric thread id, start timestamp, duration — into a fixed-capacity
-//! ring buffer. The buffer never grows and never blocks recorders beyond
+//! [`Ring`]. The buffer never grows and never blocks recorders beyond
 //! one uncontended per-slot lock; once full, the oldest spans are
 //! overwritten and counted as dropped. Export produces the Chrome
 //! `trace_event` JSON format (complete events, `"ph": "X"`), which
@@ -16,11 +16,12 @@
 //! are microseconds relative to the moment tracing was enabled (spans
 //! whose start predates the epoch clamp to 0).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::json::escape_into;
+use crate::ring::Ring;
 
 /// Default ring capacity: enough for every kernel-granularity span of a
 /// Table-I-scale run with room to spare, small enough to stay resident.
@@ -43,16 +44,15 @@ pub struct SpanEvent {
 pub struct TraceCollector {
     enabled: AtomicBool,
     epoch: OnceLock<Instant>,
-    seq: AtomicUsize,
-    slots: Box<[Mutex<Option<SpanEvent>>]>,
+    ring: Ring<SpanEvent>,
 }
 
 impl std::fmt::Debug for TraceCollector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceCollector")
             .field("enabled", &self.is_enabled())
-            .field("recorded", &self.seq.load(Ordering::Relaxed))
-            .field("capacity", &self.slots.len())
+            .field("recorded", &self.recorded())
+            .field("dropped", &self.dropped())
             .finish()
     }
 }
@@ -71,8 +71,7 @@ impl TraceCollector {
         TraceCollector {
             enabled: AtomicBool::new(false),
             epoch: OnceLock::new(),
-            seq: AtomicUsize::new(0),
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            ring: Ring::new(capacity),
         }
     }
 
@@ -105,35 +104,28 @@ impl TraceCollector {
         let ts_us = start
             .checked_duration_since(epoch)
             .map_or(0, |d| d.as_micros().min(u64::MAX as u128) as u64);
-        let event = SpanEvent {
+        self.ring.push(SpanEvent {
             name: name.to_string(),
             tid: current_thread_id(),
             ts_us,
             dur_us: dur_ns / 1_000,
-        };
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[seq % self.slots.len()];
-        *slot.lock().expect("trace slot poisoned") = Some(event);
+        });
     }
 
     /// Number of spans recorded since creation (including overwritten).
     pub fn recorded(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed) as u64
+        self.ring.recorded()
     }
 
     /// Number of spans lost to ring wraparound.
     pub fn dropped(&self) -> u64 {
-        self.recorded().saturating_sub(self.slots.len() as u64)
+        self.ring.dropped()
     }
 
     /// Snapshot the retained spans, sorted by `(ts_us, tid, name)` for
     /// deterministic output.
     pub fn spans(&self) -> Vec<SpanEvent> {
-        let mut out: Vec<SpanEvent> = self
-            .slots
-            .iter()
-            .filter_map(|s| s.lock().expect("trace slot poisoned").clone())
-            .collect();
+        let mut out = self.ring.snapshot();
         out.sort_by(|a, b| {
             (a.ts_us, a.tid, a.name.as_str()).cmp(&(b.ts_us, b.tid, b.name.as_str()))
         });
@@ -180,10 +172,7 @@ impl TraceCollector {
     /// Drop all retained spans and reset the sequence counter. The
     /// enabled flag and epoch are kept.
     pub fn reset(&self) {
-        for s in self.slots.iter() {
-            *s.lock().expect("trace slot poisoned") = None;
-        }
-        self.seq.store(0, Ordering::Relaxed);
+        self.ring.reset();
     }
 }
 
@@ -199,11 +188,7 @@ pub fn tracer() -> &'static TraceCollector {
 /// order) — Chrome traces want small integer `tid`s, and
 /// [`std::thread::ThreadId`] has no stable numeric form.
 pub fn current_thread_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    thread_local! {
-        static ID: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    ID.with(|id| *id)
+    crate::profile::with_frames(|f| f.tid).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]

@@ -717,7 +717,7 @@ impl Handler for RouterState {
     const ROLE: &'static str = "router";
     type Exchange = ();
 
-    fn handle(&self, req: &Request, ctx: &TraceContext, _: &mut ()) -> Response {
+    fn handle(&self, req: &Request, ctx: &TraceContext) -> Response {
         RouterState::handle(self, req, Some(&ctx.to_traceparent()))
     }
 

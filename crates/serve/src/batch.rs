@@ -19,10 +19,6 @@
 //! returned, so a batch of N queries is byte-for-byte N single answers
 //! joined into one JSON array.
 
-use std::sync::Arc;
-
-use bikron_obs::{SpanRecorder, SpanToken};
-
 use crate::http::Response;
 use crate::state::{ServeState, DEFAULT_LIMIT, MAX_LIMIT};
 
@@ -136,31 +132,30 @@ pub fn parse_batch(body: &str, batch_max: usize) -> Result<Vec<BatchQuery>, Batc
 /// Evaluate `queries` across up to `threads` scoped worker threads
 /// (answers are pure functions of shared immutable state, so the fan-out
 /// needs no synchronisation beyond the result slots) and assemble the
-/// single JSON-array response. Item order follows query order.
+/// single JSON-array response. Item order follows query order. Worker
+/// threads adopt the request thread's context, so an item's frames and
+/// spans nest under `evaluate` wherever it runs.
 pub fn eval_batch(state: &ServeState, queries: &[BatchQuery], threads: usize) -> Response {
     let mut results: Vec<Option<Response>> = vec![None; queries.len()];
     let threads = threads.clamp(1, queries.len().max(1));
     let chunk = queries.len().div_ceil(threads);
-    // Captured on the request thread: the recorder is shared with worker
-    // threads (it's internally synchronised), giving each batch item a
-    // child span under the request's evaluate span even when items run
-    // on the fan-out pool.
-    let trace = crate::state::current_recorder();
     if threads == 1 {
         for (i, (q, slot)) in queries.iter().zip(results.iter_mut()).enumerate() {
-            *slot = Some(eval_traced(state, q, i, &trace));
+            *slot = Some(eval_item(state, q, i));
         }
     } else {
+        let context = bikron_obs::profile::capture();
         std::thread::scope(|s| {
             for (c, (qs, slots)) in queries
                 .chunks(chunk)
                 .zip(results.chunks_mut(chunk))
                 .enumerate()
             {
-                let trace = &trace;
+                let context = &context;
                 s.spawn(move || {
+                    let _adopted = context.adopt();
                     for (i, (q, slot)) in qs.iter().zip(slots.iter_mut()).enumerate() {
-                        *slot = Some(eval_traced(state, q, c * chunk + i, trace));
+                        *slot = Some(eval_item(state, q, c * chunk + i));
                     }
                 });
             }
@@ -243,40 +238,22 @@ pub fn split_batch_items(body: &str) -> Option<Vec<String>> {
     Some(items)
 }
 
-/// Evaluate one query — exactly the single-endpoint answer.
-fn eval_one(state: &ServeState, q: &BatchQuery) -> Response {
-    match *q {
-        BatchQuery::Vertex(p) => state.vertex_at(p),
-        BatchQuery::Edge(p, q) => state.edge_at(p, q),
-        BatchQuery::Neighbors(p, offset, limit) => state.neighbors_at(p, offset, limit),
-    }
-}
-
-/// [`eval_one`] wrapped in a per-item child span (when the request is
-/// being recorded), annotated with the item's cache outcome. The answer
-/// bytes are identical either way — tracing only observes.
-fn eval_traced(
-    state: &ServeState,
-    q: &BatchQuery,
-    i: usize,
-    trace: &Option<(Arc<SpanRecorder>, SpanToken)>,
-) -> Response {
-    let Some((rec, evaluate)) = trace else {
-        return eval_one(state, q);
-    };
+/// Evaluate one query — exactly the single-endpoint answer — inside its
+/// `batch[i] verb` span, which owns the item's cache outcome (so the
+/// batch request itself logs `"cache": "-"`). The answer bytes are
+/// identical whether or not the request is traced.
+fn eval_item(state: &ServeState, q: &BatchQuery, i: usize) -> Response {
     let verb = match q {
         BatchQuery::Vertex(_) => "vertex",
         BatchQuery::Edge(..) => "edge",
         BatchQuery::Neighbors(..) => "neighbors",
     };
-    let tok = rec.begin(&format!("batch[{i}] {verb}"), Some(*evaluate));
-    // Each item reads its own thread's cache outcome, so the annotation
-    // is per-item even when several items share a worker thread.
-    crate::state::reset_cache_outcome();
-    let resp = eval_one(state, q);
-    rec.set_cache(tok, crate::state::cache_outcome());
-    rec.end(tok);
-    resp
+    let _item = bikron_obs::span::child(format_args!("batch[{i}] {verb}"));
+    match *q {
+        BatchQuery::Vertex(p) => state.vertex_at(p),
+        BatchQuery::Edge(p, q) => state.edge_at(p, q),
+        BatchQuery::Neighbors(p, offset, limit) => state.neighbors_at(p, offset, limit),
+    }
 }
 
 #[cfg(test)]

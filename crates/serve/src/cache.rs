@@ -52,46 +52,30 @@ pub enum CacheKey {
 pub const DEFAULT_HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 impl CacheKey {
-    /// Stable, cheap hash used for shard selection (FNV-1a over the
-    /// discriminant and operands — `DefaultHasher` is not guaranteed
-    /// stable across releases and this value picks a shard, so keep it
-    /// under our control). `seed` replaces the offset basis so caches
-    /// serving different expression programs hash the same key
-    /// differently (see DESIGN.md §11 — keys are expression-qualified).
-    fn shard_hash(&self, seed: u64) -> u64 {
-        let mut h: u64 = seed;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+    /// The key as `[tag, operands…]` words (the first `n` of the array):
+    /// what the shard hash mixes and what a snapshot stores.
+    pub(crate) fn words(&self) -> ([u64; 4], usize) {
         match *self {
-            CacheKey::Vertex(p) => {
-                mix(1);
-                mix(p as u64);
-            }
-            CacheKey::Edge(p, q) => {
-                mix(2);
-                mix(p as u64);
-                mix(q as u64);
-            }
-            CacheKey::Neighbors(p, offset, limit) => {
-                mix(3);
-                mix(p as u64);
-                mix(offset);
-                mix(limit as u64);
-            }
-            CacheKey::Clustering(p, q) => {
-                mix(4);
-                mix(p as u64);
-                mix(q as u64);
-            }
-            CacheKey::Scatter(offset, limit) => {
-                mix(5);
-                mix(offset);
-                mix(limit as u64);
-            }
+            CacheKey::Vertex(p) => ([1, p as u64, 0, 0], 2),
+            CacheKey::Edge(p, q) => ([2, p as u64, q as u64, 0], 3),
+            CacheKey::Neighbors(p, offset, limit) => ([3, p as u64, offset, limit as u64], 4),
+            CacheKey::Clustering(p, q) => ([4, p as u64, q as u64, 0], 3),
+            CacheKey::Scatter(offset, limit) => ([5, offset, limit as u64, 0], 3),
+        }
+    }
+
+    /// Stable, cheap hash used for shard selection (FNV-1a over the
+    /// key's words — `DefaultHasher` is not guaranteed stable across
+    /// releases and this value picks a shard, so keep it under our
+    /// control). `seed` replaces the offset basis so caches serving
+    /// different expression programs hash the same key differently (see
+    /// DESIGN.md §11 — keys are expression-qualified).
+    fn shard_hash(&self, seed: u64) -> u64 {
+        let (words, n) = self.words();
+        let mut h = seed;
+        for b in words[..n].iter().flat_map(|w| w.to_le_bytes()) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
         h
     }

@@ -52,7 +52,7 @@ pub trait Handler: Send + Sync + 'static {
 
     /// Answer one parsed request. `ctx` is the request's trace identity
     /// (adopted from the client's `traceparent` or freshly minted).
-    fn handle(&self, req: &Request, ctx: &TraceContext, exchange: &mut Self::Exchange) -> Response;
+    fn handle(&self, req: &Request, ctx: &TraceContext) -> Response;
 
     /// Whether workers and the acceptor should stop.
     fn shutdown_requested(&self) -> bool;
@@ -298,7 +298,7 @@ fn serve_connection<H: Handler>(stream: TcpStream, handler: &H, read_timeout: Du
         let trace_id = ctx.trace_id_hex();
         handler.begin(&mut exchange, &ctx, remote_parent);
         let (resp, keep_alive) = match &parsed {
-            Ok(req) => (handler.handle(req, &ctx, &mut exchange), !req.wants_close()),
+            Ok(req) => (handler.handle(req, &ctx), !req.wants_close()),
             // Parse failures are answered, then the connection is closed:
             // after a framing error the byte stream can't be trusted.
             Err(e) => (Response::error(e.status(), &e.detail()), false),

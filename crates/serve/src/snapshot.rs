@@ -181,32 +181,9 @@ fn read_section<'a>(
 }
 
 fn put_cache_key(buf: &mut Vec<u8>, key: &CacheKey) {
-    match *key {
-        CacheKey::Vertex(p) => {
-            put_u64(buf, 1);
-            put_u64(buf, p as u64);
-        }
-        CacheKey::Edge(p, q) => {
-            put_u64(buf, 2);
-            put_u64(buf, p as u64);
-            put_u64(buf, q as u64);
-        }
-        CacheKey::Neighbors(p, offset, limit) => {
-            put_u64(buf, 3);
-            put_u64(buf, p as u64);
-            put_u64(buf, offset);
-            put_u64(buf, limit as u64);
-        }
-        CacheKey::Clustering(p, q) => {
-            put_u64(buf, 4);
-            put_u64(buf, p as u64);
-            put_u64(buf, q as u64);
-        }
-        CacheKey::Scatter(offset, limit) => {
-            put_u64(buf, 5);
-            put_u64(buf, offset);
-            put_u64(buf, limit as u64);
-        }
+    let (words, n) = key.words();
+    for &w in &words[..n] {
+        put_u64(buf, w);
     }
 }
 

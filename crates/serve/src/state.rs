@@ -19,7 +19,6 @@
 //! answers 501 on `/v1/edges`; every other body is rendered the same way
 //! on both.
 
-use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,12 +27,12 @@ use bikron_core::stream::PartitionedStream;
 use bikron_core::truth::community::{product_community, FactorCommunity, ProductCommunityTruth};
 use bikron_core::{predict_structure, ChainError, KronChain, KroneckerProduct, SelfLoopMode};
 use bikron_graph::{bipartition, Graph};
-use bikron_obs::profile::ProfileGuard;
-use bikron_obs::span::DEFAULT_TRACE_CAPACITY;
+use bikron_obs::profile::{phase, ProfileGuard};
+use bikron_obs::span::{RequestScope, DEFAULT_TRACE_CAPACITY};
 use bikron_obs::window::{WindowedCounter, WindowedHistogram};
 use bikron_obs::{
     Counter, EventLogger, Gauge, Histogram, JsonWriter, LogEvent, SpanRecorder, SpanSink,
-    SpanToken, TraceContext, WindowRegistry, WindowSnapshot,
+    TraceContext, WindowRegistry,
 };
 
 use crate::cache::{CacheKey, ShardedCache};
@@ -182,12 +181,6 @@ impl ServeMetrics {
         }
     }
 
-    /// Record one accepted batch of `items` queries.
-    pub fn record_batch(&self, items: u64) {
-        self.batch_size.record(items);
-        self.batch_items.add(items);
-    }
-
     /// Record one completed request.
     pub fn record(&self, status: u16, bytes: u64, ns: u64) {
         self.requests.inc();
@@ -204,26 +197,6 @@ impl ServeMetrics {
                 .inc();
         }
     }
-
-    /// The window registry backing this state's rolling metrics.
-    pub fn windows(&self) -> &WindowRegistry {
-        &self.windows
-    }
-
-    /// Windowed request counts (1m/5m).
-    pub fn requests_window(&self) -> WindowSnapshot {
-        self.requests.snapshot()
-    }
-
-    /// Windowed 5xx counts (1m/5m).
-    pub fn errors_window(&self) -> WindowSnapshot {
-        self.errors_5xx.snapshot()
-    }
-
-    /// Windowed request-latency distribution (1m/5m).
-    pub fn latency_window(&self) -> WindowSnapshot {
-        self.request_ns.snapshot()
-    }
 }
 
 /// Everything a worker needs to answer queries. Send + Sync; shared via
@@ -239,7 +212,10 @@ pub struct ServeState {
     /// folded into the cache's shard-hash seed. Pair servers report the
     /// implied program (`A⊗B` / `(A+I)⊗B`).
     expr: String,
+    /// The `/v1/stats` body as snapshots store it; served with the boot
+    /// path (`warm`) appended.
     stats_json: String,
+    warm: bool,
     admin_token: Option<String>,
     cache: Option<ShardedCache>,
     batch_max: usize,
@@ -256,68 +232,6 @@ pub struct ServeState {
     slo_p99_ms: u64,
     slo_err_pct: u64,
     started: Instant,
-}
-
-std::thread_local! {
-    /// Cache outcome of the request currently handled on this worker
-    /// thread: `Some(true)` hit, `Some(false)` miss, `None` when the
-    /// request never consulted the cache. Requests are handled
-    /// synchronously on one worker thread, so a thread-local carries the
-    /// flag from [`ServeState::cached`] to the access-log emit without
-    /// widening every router signature. (Batch *items* evaluated on
-    /// scoped helper threads don't propagate here; the batch request
-    /// logs `"-"`.)
-    static CACHE_OUTCOME: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-/// Clear the per-thread cache outcome before routing a request.
-pub(crate) fn reset_cache_outcome() {
-    CACHE_OUTCOME.set(None);
-}
-
-/// Read the cache outcome recorded while handling the current request.
-pub(crate) fn cache_outcome() -> Option<bool> {
-    CACHE_OUTCOME.get()
-}
-
-std::thread_local! {
-    /// The span recorder (and its `evaluate` span token — the parent for
-    /// router-level child spans) of the request currently being handled
-    /// on this worker thread. Same propagation idiom as `CACHE_OUTCOME`:
-    /// the [`Handler`] impl installs it around `handle()`,
-    /// [`ServeState::cached`] and the batch evaluator read it, and direct
-    /// `handle()` calls in tests see `None` (untraced). Only set when the
-    /// server's [`SpanSink`] is enabled.
-    static CURRENT_RECORDER: RefCell<Option<(Arc<SpanRecorder>, SpanToken)>> =
-        const { RefCell::new(None) };
-}
-
-/// Install the current request's recorder for this worker thread.
-fn set_current_recorder(recorder: Arc<SpanRecorder>, evaluate: SpanToken) {
-    CURRENT_RECORDER.with(|r| *r.borrow_mut() = Some((recorder, evaluate)));
-}
-
-/// Remove and return the current recorder (after `handle()` — clearing
-/// it before the sink consumes the recorder also drops this thread's
-/// `Arc` so [`ServeExchange`]'s `try_unwrap` succeeds).
-fn take_current_recorder() -> Option<(Arc<SpanRecorder>, SpanToken)> {
-    CURRENT_RECORDER.with(|r| r.borrow_mut().take())
-}
-
-/// Clone of the current recorder pair, if this request is traced. The
-/// batch evaluator hands the clone to its scoped fan-out threads (which
-/// have their own, unset, thread-local).
-pub(crate) fn current_recorder() -> Option<(Arc<SpanRecorder>, SpanToken)> {
-    CURRENT_RECORDER.with(|r| r.borrow().clone())
-}
-
-/// Begin a child span under the current request's `evaluate` span.
-/// `None` (nothing recorded) when the request is untraced.
-fn begin_child(name: &str) -> Option<(Arc<SpanRecorder>, Option<SpanToken>)> {
-    current_recorder().map(|(rec, eval)| {
-        let tok = rec.begin(name, Some(eval));
-        (rec, tok)
-    })
 }
 
 /// Collapse a request path to a bounded-cardinality shape for access
@@ -340,41 +254,29 @@ pub fn path_shape(path: &str) -> String {
     out
 }
 
-/// One request's diagnostics on a serve worker: the open profile frame
-/// (`accept` during the read, then `write`) and, when the span sink is
-/// enabled, the request's span recorder.
+/// One request's diagnostics on a serve worker: the open frame
+/// (`accept` during the read, then `write`) and the request installed on
+/// the worker's frame stack, which carries the span recorder when the
+/// span sink is enabled and the cache outcome for the access log.
 #[derive(Default)]
 pub struct ServeExchange {
     /// When the worker began reading the request; the recorder's clock
     /// starts here so the `accept` span covers the socket read.
     io_started: Option<Instant>,
+    /// Declared before `request` so it closes first on every path.
     frame: Option<ProfileGuard>,
-    recorder: Option<Arc<SpanRecorder>>,
-    write: Option<SpanToken>,
+    request: Option<RequestScope>,
 }
 
 impl Handler for ServeState {
     const ROLE: &'static str = "serve";
     type Exchange = ServeExchange;
 
-    /// Route through [`ServeState::handle`] inside an `evaluate` span and
-    /// profile frame. The recorder is installed thread-locally for the
-    /// call so cache, serialise and batch-item spans hang off
-    /// `evaluate`.
-    fn handle(&self, req: &Request, _ctx: &TraceContext, ex: &mut ServeExchange) -> Response {
-        let evaluate = ex.recorder.as_ref().and_then(|rec| {
-            let tok = rec.begin("evaluate", None)?;
-            set_current_recorder(Arc::clone(rec), tok);
-            Some(tok)
-        });
-        let frame = bikron_obs::profile::phase("evaluate");
-        let resp = ServeState::handle(self, req);
-        drop(frame);
-        take_current_recorder();
-        if let Some(rec) = &ex.recorder {
-            rec.end(evaluate);
-        }
-        resp
+    /// Route through [`ServeState::handle`] inside the `evaluate` frame,
+    /// which the cache, serialise and batch-item spans hang off.
+    fn handle(&self, req: &Request, _ctx: &TraceContext) -> Response {
+        let _evaluate = phase("evaluate");
+        ServeState::handle(self, req)
     }
 
     fn shutdown_requested(&self) -> bool {
@@ -405,69 +307,53 @@ impl Handler for ServeState {
     fn open(&self) -> ServeExchange {
         ServeExchange {
             io_started: Some(Instant::now()),
-            frame: Some(bikron_obs::profile::phase("accept")),
+            frame: Some(phase("accept")),
             ..ServeExchange::default()
         }
     }
 
     fn begin(&self, ex: &mut ServeExchange, ctx: &TraceContext, remote_parent: u64) {
         ex.frame = None;
-        reset_cache_outcome();
-        if !self.spans.enabled() {
-            return;
-        }
-        let started = ex.io_started.unwrap_or_else(Instant::now);
-        let rec = SpanRecorder::with_start(*ctx, remote_parent, started);
-        // `accept` retroactively covers the socket read; `parse` is a
-        // zero-width marker (parsing happens inside the read).
-        let accept = rec.begin_at("accept", None, 0);
-        rec.end(accept);
-        let parse = rec.begin("parse", None);
-        rec.end(parse);
-        ex.recorder = Some(Arc::new(rec));
+        let recorder = self.spans.enabled().then(|| {
+            let started = ex.io_started.unwrap_or_else(Instant::now);
+            let rec = SpanRecorder::with_start(*ctx, remote_parent, started);
+            // `accept` retroactively covers the socket read; `parse` is a
+            // zero-width marker (parsing happens inside the read).
+            let accept = rec.begin_at("accept", None, 0);
+            rec.end(accept);
+            let parse = rec.begin("parse", None);
+            rec.end(parse);
+            rec
+        });
+        ex.request = Some(bikron_obs::span::begin_request(recorder));
     }
 
     fn writing(&self, ex: &mut ServeExchange) {
-        ex.write = ex
-            .recorder
-            .as_ref()
-            .and_then(|rec| rec.begin("write", None));
-        ex.frame = Some(bikron_obs::profile::phase("write"));
+        ex.frame = Some(phase("write"));
     }
 
     /// One access-log event, and the finished span tree offered for tail
     /// capture.
     fn finish(
         &self,
-        ex: ServeExchange,
+        mut ex: ServeExchange,
         req: Option<&Request>,
         status: u16,
         bytes: u64,
         ns: u64,
         trace_id: &str,
     ) {
-        drop(ex.frame);
-        if let Some(rec) = &ex.recorder {
-            rec.end(ex.write);
-        }
-        if self.logger.is_none() && ex.recorder.is_none() {
+        ex.frame = None;
+        let (recorder, cache) = ex.request.take().map_or((None, None), RequestScope::finish);
+        if self.logger.is_none() && recorder.is_none() {
             return;
         }
         let (method, shape) = match req {
             Some(req) => (req.method.as_str(), path_shape(&req.path)),
             None => ("-", "malformed".to_string()),
         };
-        self.log_access(
-            method,
-            &shape,
-            status,
-            ns,
-            bytes,
-            cache_outcome(),
-            Some(trace_id),
-        );
-        // Sole owner now that the thread-local clone is dropped.
-        if let Some(rec) = ex.recorder.and_then(|rec| Arc::try_unwrap(rec).ok()) {
+        self.log_access(method, &shape, status, ns, bytes, cache, Some(trace_id));
+        if let Some(rec) = recorder {
             self.spans.offer(rec, method, &shape, status, bytes, ns);
         }
     }
@@ -494,23 +380,6 @@ fn with_snapshot_field(stats_json: &str, warm: bool) -> String {
             &stats_json[..at],
             &stats_json[at..]
         ),
-        None => stats_json.to_string(),
-    }
-}
-
-/// Strip the injected `"snapshot"` member again — snapshots persist the
-/// *bare* body so a file captured warm and one captured cold are
-/// byte-identical.
-fn without_snapshot_field(stats_json: &str) -> String {
-    const NEEDLE: &str = ",\n  \"snapshot\": \"";
-    match stats_json.rfind(NEEDLE) {
-        Some(start) => {
-            let vstart = start + NEEDLE.len();
-            match stats_json[vstart..].find('"') {
-                Some(q) => format!("{}{}", &stats_json[..start], &stats_json[vstart + q + 1..]),
-                None => stats_json.to_string(),
-            }
-        }
         None => stats_json.to_string(),
     }
 }
@@ -633,7 +502,7 @@ impl ServeState {
                 })
                 .collect(),
             levels: self.chain.level_spec(),
-            stats_json: without_snapshot_field(&self.stats_json),
+            stats_json: self.stats_json.clone(),
             cache: self
                 .cache
                 .as_ref()
@@ -675,12 +544,11 @@ impl ServeState {
                 );
             }
         }
-        // Advertise the boot path in `/v1/stats` (the single injection
-        // point keeps warm and cold bodies byte-identical everywhere
-        // else) and in the `serve.snapshot.warm` gauge so `monitor` can
-        // surface it. Cold boots zero the companion gauges so the keys
-        // always exist in a metrics report.
-        let stats_json = with_snapshot_field(&stats_json, warm);
+        // Advertise the boot path in `/v1/stats` (appended when served,
+        // so warm and cold bodies are byte-identical everywhere else) and
+        // in the `serve.snapshot.warm` gauge so `monitor` can surface it.
+        // Cold boots zero the companion gauges so the keys always exist
+        // in a metrics report.
         let obs = bikron_obs::global();
         obs.gauge("serve.snapshot.warm").set(u64::from(warm));
         if !warm {
@@ -692,6 +560,7 @@ impl ServeState {
             pair,
             expr,
             stats_json,
+            warm,
             admin_token: options.admin_token,
             cache,
             batch_max: options.batch_max.max(1),
@@ -788,13 +657,18 @@ impl ServeState {
         }
         match segs.as_slice() {
             ["metrics"] => self.metrics_response(req),
-            ["v1", "stats"] => Response::json(200, self.stats_json.clone()),
+            ["v1", "stats"] => {
+                Response::json(200, with_snapshot_field(&self.stats_json, self.warm))
+            }
             ["v1", "health"] => self.health_response(),
-            ["v1", "vertex", p] => self.vertex(p),
-            ["v1", "edge", p, q] => self.edge(p, q),
-            ["v1", "neighbors", p] => self.neighbors(p, req),
+            ["v1", "vertex", p] => self.indexed([p], |[p]| self.vertex_at(p)),
+            ["v1", "edge", p, q] => self.indexed([p, q], |[p, q]| self.edge_at(p, q)),
+            ["v1", "neighbors", p] => self.indexed([p], |[p]| match parse_page(req) {
+                Ok((offset, limit)) => self.neighbors_at(p, offset, limit),
+                Err(resp) => resp,
+            }),
             ["v1", "edges", part, parts] => self.edges(part, parts, req),
-            ["v1", "clustering", p, q] => self.clustering(p, q),
+            ["v1", "clustering", p, q] => self.indexed([p, q], |[p, q]| self.clustering_at(p, q)),
             ["v1", "community"] => self.community(req),
             ["v1", "scatter", "degree-squares"] => self.scatter_degree_squares(req),
             ["v1", "batch"] => Response::error(405, "batch requires POST"),
@@ -806,6 +680,23 @@ impl ServeState {
         }
     }
 
+    /// Parse the path's vertex indices (400 malformed, 404 out of range;
+    /// the first failure answers) and answer with `at`.
+    fn indexed<const K: usize>(
+        &self,
+        raw: [&&str; K],
+        at: impl FnOnce([usize; K]) -> Response,
+    ) -> Response {
+        let mut idx = [0; K];
+        for (slot, raw) in idx.iter_mut().zip(raw) {
+            match parse_index(raw, self.num_vertices()) {
+                Ok(p) => *slot = p,
+                Err(resp) => return resp,
+            }
+        }
+        at(idx)
+    }
+
     fn batch(&self, req: &Request) -> Response {
         let body = match std::str::from_utf8(&req.body) {
             Ok(s) => s,
@@ -815,7 +706,8 @@ impl ServeState {
             Ok(qs) => qs,
             Err(e) => return e.response(),
         };
-        self.metrics.record_batch(queries.len() as u64);
+        self.metrics.batch_size.record(queries.len() as u64);
+        self.metrics.batch_items.add(queries.len() as u64);
         crate::batch::eval_batch(self, &queries, self.batch_threads)
     }
 
@@ -827,39 +719,23 @@ impl ServeState {
         let Some(cache) = &self.cache else {
             return f();
         };
-        let lookup = begin_child("cache");
-        let lookup_frame = bikron_obs::profile::phase("cache_lookup");
+        let lookup = phase("cache");
         let hit = cache.get(&key);
-        drop(lookup_frame);
-        CACHE_OUTCOME.set(Some(hit.is_some()));
-        if let Some((rec, tok)) = &lookup {
-            rec.set_cache(*tok, Some(hit.is_some()));
-            rec.end(*tok);
-        }
+        lookup.cache(hit.is_some());
+        drop(lookup);
         if let Some(body) = hit {
             return Response::json(200, (*body).clone());
         }
         // On a miss the closure both evaluates the closed form and
         // serialises the body (the two are fused in each endpoint's
-        // JsonWriter pass), so one `serialize` span covers the compute.
-        let serialize = begin_child("serialize");
-        let serialize_frame = bikron_obs::profile::phase("serialize");
+        // JsonWriter pass), so one `serialize` frame covers the compute.
+        let serialize = phase("serialize");
         let resp = f();
-        drop(serialize_frame);
-        if let Some((rec, tok)) = serialize {
-            rec.end(tok);
-        }
+        drop(serialize);
         if resp.status == 200 {
             cache.insert(key, Arc::new(resp.body.clone()));
         }
         resp
-    }
-
-    fn vertex(&self, raw: &str) -> Response {
-        match parse_index(raw, self.num_vertices()) {
-            Ok(p) => self.vertex_at(p),
-            Err(resp) => resp,
-        }
     }
 
     /// `GET /v1/vertex/{p}` for an already-parsed index (shared with the
@@ -894,14 +770,6 @@ impl ServeState {
         })
     }
 
-    fn edge(&self, raw_p: &str, raw_q: &str) -> Response {
-        let n = self.num_vertices();
-        match (parse_index(raw_p, n), parse_index(raw_q, n)) {
-            (Ok(p), Ok(q)) => self.edge_at(p, q),
-            (Err(resp), _) | (_, Err(resp)) => resp,
-        }
-    }
-
     /// `GET /v1/edge/{p}/{q}` for already-parsed indices.
     pub(crate) fn edge_at(&self, p: usize, q: usize) -> Response {
         let n = self.num_vertices();
@@ -923,24 +791,10 @@ impl ServeState {
             w.bool_field("edge", squares.is_some());
             w.u64_field("degree_p", dp);
             w.u64_field("degree_q", dq);
-            match squares {
-                Some(s) => w.u64_field("squares", s),
-                None => w.null_field("squares"),
-            }
+            w.opt_u64_field("squares", squares);
             w.close_object();
             Response::json(200, w.finish())
         })
-    }
-
-    fn neighbors(&self, raw: &str, req: &Request) -> Response {
-        let p = match parse_index(raw, self.num_vertices()) {
-            Ok(p) => p,
-            Err(resp) => return resp,
-        };
-        match parse_page(req) {
-            Ok((offset, limit)) => self.neighbors_at(p, offset, limit),
-            Err(resp) => resp,
-        }
     }
 
     /// `GET /v1/neighbors/{p}?offset&limit` for already-parsed values
@@ -959,11 +813,10 @@ impl ServeState {
             w.u64_field("offset", offset);
             w.u64_field("count", page.len() as u64);
             let next = offset + page.len() as u64;
-            if next < degree && !page.is_empty() {
-                w.u64_field("next_offset", next);
-            } else {
-                w.null_field("next_offset");
-            }
+            w.opt_u64_field(
+                "next_offset",
+                (next < degree && !page.is_empty()).then_some(next),
+            );
             w.key("neighbors");
             w.open_array();
             for q in &page {
@@ -1037,11 +890,10 @@ impl ServeState {
         w.u64_field("offset", offset);
         w.u64_field("count", page.len() as u64);
         let next = offset + page.len() as u64;
-        if next < total && !page.is_empty() {
-            w.u64_field("next_offset", next);
-        } else {
-            w.null_field("next_offset");
-        }
+        w.opt_u64_field(
+            "next_offset",
+            (next < total && !page.is_empty()).then_some(next),
+        );
         w.key("edges");
         w.open_array();
         for &(p, q) in &page {
@@ -1060,14 +912,6 @@ impl ServeState {
         w.close_array();
         w.close_object();
         Response::json(200, w.finish())
-    }
-
-    fn clustering(&self, raw_p: &str, raw_q: &str) -> Response {
-        let n = self.num_vertices();
-        match (parse_index(raw_p, n), parse_index(raw_q, n)) {
-            (Ok(p), Ok(q)) => self.clustering_at(p, q),
-            (Err(resp), _) | (_, Err(resp)) => resp,
-        }
     }
 
     /// `GET /v1/clustering/{p}/{q}`: the Thm 6 surface — exact edge
@@ -1093,15 +937,9 @@ impl ServeState {
             w.bool_field("edge", c.squares.is_some());
             w.u64_field("degree_p", c.degree_p);
             w.u64_field("degree_q", c.degree_q);
-            match c.squares {
-                Some(s) => w.u64_field("squares", s),
-                None => w.null_field("squares"),
-            }
+            w.opt_u64_field("squares", c.squares);
             for (key, value) in [("gamma", c.gamma), ("bound", c.bound), ("psi", c.psi)] {
-                match value {
-                    Some(v) => w.f64_field(key, v),
-                    None => w.null_field(key),
-                }
+                w.opt_f64_field(key, value);
             }
             w.close_object();
             Response::json(200, w.finish())
@@ -1166,22 +1004,10 @@ impl ServeState {
         w.u64_field("size", truth.size);
         w.u64_field("m_in", truth.m_in);
         w.u64_field("m_out", truth.m_out);
-        for (key, value) in [
-            ("rho_in", density.as_ref().and_then(|d| d.rho_in)),
-            (
-                "rho_in_lower_bound",
-                density.as_ref().and_then(|d| d.rho_in_lower_bound),
-            ),
-            (
-                "rho_out_upper_bound",
-                density.as_ref().and_then(|d| d.rho_out_upper_bound),
-            ),
-        ] {
-            match value {
-                Some(v) => w.f64_field(key, v),
-                None => w.null_field(key),
-            }
-        }
+        let d = density.as_ref();
+        w.opt_f64_field("rho_in", d.and_then(|d| d.rho_in));
+        w.opt_f64_field("rho_in_lower_bound", d.and_then(|d| d.rho_in_lower_bound));
+        w.opt_f64_field("rho_out_upper_bound", d.and_then(|d| d.rho_out_upper_bound));
         w.close_object();
         Response::json(200, w.finish())
     }
@@ -1227,11 +1053,7 @@ impl ServeState {
                 w.open_object();
                 w.u64_field("offset", offset);
                 w.u64_field("count", end - start);
-                if end < n && end > start {
-                    w.u64_field("next_offset", end);
-                } else {
-                    w.null_field("next_offset");
-                }
+                w.opt_u64_field("next_offset", (end < n && end > start).then_some(end));
                 w.key("rows");
                 w.open_array();
                 for p in start..end {
@@ -1283,7 +1105,7 @@ impl ServeState {
         let mut report = bikron_obs::global().snapshot();
         report.set_meta("tool", "bikron-serve");
         report.set_meta("endpoint", "/metrics");
-        self.metrics.windows().snapshot_into(&mut report);
+        self.metrics.windows.snapshot_into(&mut report);
         // Ride the cumulative profile along when a sampler is running,
         // so `--metrics-out` files and scrapes carry attribution too.
         let prof = bikron_obs::profile::profiler();
@@ -1307,9 +1129,9 @@ impl ServeState {
     /// `GET /v1/health`: readiness plus windowed SLO signals. `degraded`
     /// when any window that saw traffic violates either threshold.
     fn health_response(&self) -> Response {
-        let requests = self.metrics.requests_window();
-        let errors = self.metrics.errors_window();
-        let latency = self.metrics.latency_window();
+        let requests = self.metrics.requests.snapshot();
+        let errors = self.metrics.errors_5xx.snapshot();
+        let latency = self.metrics.request_ns.snapshot();
         let windows = [
             ("1m", requests.w1m, errors.w1m, latency.w1m),
             ("5m", requests.w5m, errors.w5m, latency.w5m),
@@ -1428,8 +1250,8 @@ impl ServeState {
     }
 
     /// Emit one access-log event for a completed request (no-op without
-    /// `--access-log`). `cache` is the thread-local outcome captured by
-    /// the connection loop; `trace_id` is the request's 32-hex-char
+    /// `--access-log`). `cache` is the outcome the request's scope hands
+    /// back (`None` for a batch: items own theirs); `trace_id` is the request's 32-hex-char
     /// trace id (always present on the serving path, `None` only from
     /// contexts with no trace identity), making every access line
     /// joinable against captured span trees and upstream traces.
@@ -1595,12 +1417,8 @@ fn pair_view(chain: &KronChain) -> KroneckerProduct<'_> {
     KroneckerProduct::new(a, b, mode).expect("pair factors validated at build")
 }
 
-/// Build a pair server's cached Table-I-style `/v1/stats` body: the
-/// structure predictions (Thms 1–2) from the product view, the counts
-/// from the chain.
-fn stats_body(prod: &KroneckerProduct<'_>, chain: &KronChain) -> String {
-    let st = predict_structure(prod);
-    let hist = bikron_core::truth::degrees::degree_histogram(prod);
+/// Open a `/v1/stats` body: its schema and the metrics schemas served.
+fn stats_head() -> JsonWriter {
     let mut w = JsonWriter::new();
     w.open_object();
     w.string_field("schema", "bikron-serve/1");
@@ -1615,6 +1433,16 @@ fn stats_body(prod: &KroneckerProduct<'_>, chain: &KronChain) -> String {
         w.string_element(schema);
     }
     w.close_array();
+    w
+}
+
+/// Build a pair server's cached Table-I-style `/v1/stats` body: the
+/// structure predictions (Thms 1–2) from the product view, the counts
+/// from the chain.
+fn stats_body(prod: &KroneckerProduct<'_>, chain: &KronChain) -> String {
+    let st = predict_structure(prod);
+    let hist = bikron_core::truth::degrees::degree_histogram(prod);
+    let mut w = stats_head();
     w.string_field(
         "mode",
         match prod.mode() {
@@ -1633,21 +1461,10 @@ fn stats_body(prod: &KroneckerProduct<'_>, chain: &KronChain) -> String {
     w.u64_field("vertices", chain.num_vertices() as u64);
     w.u64_field("edges", chain.num_edges());
     w.bool_field("bipartite", st.bipartite);
-    match st.parts {
-        Some((u, wn)) => {
-            w.u64_field("part_u", u as u64);
-            w.u64_field("part_w", wn as u64);
-        }
-        None => {
-            w.null_field("part_u");
-            w.null_field("part_w");
-        }
-    }
+    w.opt_u64_field("part_u", st.parts.map(|(u, _)| u as u64));
+    w.opt_u64_field("part_w", st.parts.map(|(_, wn)| wn as u64));
     w.bool_field("connected", st.connected);
-    match st.num_components {
-        Some(c) => w.u64_field("components", c as u64),
-        None => w.null_field("components"),
-    }
+    w.opt_u64_field("components", st.num_components.map(|c| c as u64));
     w.u64_field("global_squares", chain.global_squares());
     w.u64_field("max_degree", chain.max_degree());
     w.u64_field("distinct_degrees", hist.len() as u64);
@@ -1660,20 +1477,7 @@ fn stats_body(prod: &KroneckerProduct<'_>, chain: &KronChain) -> String {
 /// pair-only structure predictions (bipartiteness, connectivity — Thms
 /// 1–2 are two-factor statements) are intentionally absent.
 fn stats_body_chain(chain: &KronChain) -> String {
-    let mut w = JsonWriter::new();
-    w.open_object();
-    w.string_field("schema", "bikron-serve/1");
-    w.key("metrics_schemas");
-    w.open_array();
-    for schema in [
-        bikron_obs::SCHEMA_V1,
-        bikron_obs::SCHEMA_V2,
-        bikron_obs::SCHEMA_V3,
-        bikron_obs::SCHEMA,
-    ] {
-        w.string_element(schema);
-    }
-    w.close_array();
+    let mut w = stats_head();
     w.string_field("expr", chain.canonical());
     w.key("levels");
     w.open_array();
